@@ -43,7 +43,6 @@ from .soft import (
     LossValue,
     ProjectionModel,
     SmoothingConfig,
-    attention_pooling,
     clustering_loss,
     combined_loss,
     smooth_min,
@@ -86,7 +85,6 @@ __all__ = [
     "ThreadSpec",
     "TSortGraph",
     "TSortNode",
-    "attention_pooling",
     "bench_compare",
     "brute_force_ground",
     "build_tsort_backward",

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InfeasibleError, ValidationError
-from .tsort import TSortGraph
+from .tsort import DPPlan, TSortGraph
 
 DROP = -1  # label for clips matched to no step
 
@@ -70,6 +70,8 @@ class CostMatrix:
             object.__setattr__(
                 self, "row_index", {i: i for i in range(arr.shape[0])}
             )
+        if sorted(self.row_index.values()) != list(range(arr.shape[0])):
+            raise ValidationError("row_index must name every cost row exactly once")
 
     @property
     def n_steps(self) -> int:
@@ -202,24 +204,50 @@ def _column_update(
     return new, code
 
 
-def _segment_min(
-    vals: np.ndarray,
-    seg_starts: np.ndarray,
-    seg_dst: np.ndarray,
-    seg_repeat: np.ndarray,
-    src_sorted: np.ndarray,
-    n_rows: int,
-):
+def _segment_min(vals: np.ndarray, plan: DPPlan):
     """Per-destination min over incoming edge values, plus the lowest-index argmin."""
-    mins = np.minimum.reduceat(vals, seg_starts)
+    mins = np.minimum.reduceat(vals, plan.seg_starts)
+    n_rows = len(plan.active)
     pred_min = np.full(n_rows, np.inf)
-    pred_min[seg_dst] = mins
-    hit = vals == np.repeat(mins, seg_repeat)
+    pred_min[plan.seg_dst] = mins
+    hit = vals == np.repeat(mins, plan.seg_repeat)
     pos = np.where(hit, np.arange(len(vals)), len(vals))
-    first = np.minimum.reduceat(pos, seg_starts)
+    first = np.minimum.reduceat(pos, plan.seg_starts)
     best_pred = np.full(n_rows, -1, dtype=np.int64)
-    best_pred[seg_dst] = src_sorted[first]
+    best_pred[plan.seg_dst] = plan.esrc[first]
     return pred_min, best_pred
+
+
+def _bind_costs(
+    s: TSortGraph, c: CostMatrix, d: DropCosts
+) -> tuple[np.ndarray, np.ndarray]:
+    """Check a grounding problem and lay its match costs out per meta-state.
+
+    ``c`` must hold exactly one row per step of the graph. Returns each
+    state's (N,) cost row and its row index in ``c``; virtual states get a
+    row of +inf and index -1.
+    """
+    steps = s.origin.step_ids
+    n_clips = len(d)
+    if c.n_clips != n_clips:
+        raise ValidationError(
+            f"cost matrix has {c.n_clips} clips but drop costs have {n_clips}"
+        )
+    unmatched = set(c.row_index).symmetric_difference(steps)
+    if unmatched:
+        raise ValidationError(
+            f"cost matrix has {c.n_steps} rows but the graph has {len(steps)} steps "
+            f"(unmatched step nodes {sorted(unmatched)})"
+        )
+    if len(steps) > n_clips:
+        raise InfeasibleError(
+            f"{len(steps)} steps cannot each take a clip from {n_clips} clips"
+        )
+    row_of_node = np.full(s.origin.n_nodes, -1, dtype=np.int64)
+    row_of_node[list(steps)] = [c.row_index[v] for v in steps]
+    row_of_state = row_of_node[s.plan.active]
+    padded = np.vstack([c.values, np.full((1, n_clips), np.inf)])  # row -1: +inf
+    return padded[row_of_state], row_of_state
 
 
 def graph_drop_dtw(s: TSortGraph, c: CostMatrix, d: DropCosts) -> Alignment:
@@ -231,32 +259,9 @@ def graph_drop_dtw(s: TSortGraph, c: CostMatrix, d: DropCosts) -> Alignment:
     the meta-sink's predecessors after the last clip, and the traceback
     recovers the segmentation, the dropped clips, and the realised sort.
     """
-    g = s.origin
-    n_clips = len(d)
-    if c.n_clips != n_clips:
-        raise ValidationError(
-            f"cost matrix has {c.n_clips} clips but drop costs have {n_clips}"
-        )
-    if g.n_steps > n_clips:
-        raise InfeasibleError(
-            f"{g.n_steps} steps cannot each take a clip from {n_clips} clips"
-        )
-
-    n_rows = len(s.nodes)
-    actives = np.array([n.active for n in s.nodes])
-    virtual = np.array([g.nodes[n.active].is_virtual for n in s.nodes])
-
-    cost_rows = np.full((n_rows, n_clips), np.inf)
-    for i in range(n_rows):
-        if not virtual[i]:
-            cost_rows[i] = c.row(int(actives[i]))
-
-    # Incoming edges grouped by destination for the vectorized per-column min.
-    edges = np.array(sorted(s.edges, key=lambda e: (e[1], e[0])), dtype=np.int64)
-    esrc, edst = edges[:, 0], edges[:, 1]
-    seg_starts = np.flatnonzero(np.r_[True, edst[1:] != edst[:-1]])
-    seg_dst = edst[seg_starts]
-    seg_repeat = np.diff(np.r_[seg_starts, len(edst)])
+    plan = s.plan
+    cost_rows, _ = _bind_costs(s, c, d)
+    n_rows, n_clips = cost_rows.shape
 
     drops = d.values
     dp = np.full((n_rows, n_clips + 1), np.inf)
@@ -266,15 +271,13 @@ def graph_drop_dtw(s: TSortGraph, c: CostMatrix, d: DropCosts) -> Alignment:
 
     for j in range(1, n_clips + 1):
         prev = dp[:, j - 1]
-        pred_min, best_pred = _segment_min(
-            prev[esrc], seg_starts, seg_dst, seg_repeat, esrc, n_rows
-        )
+        pred_min, best_pred = _segment_min(prev[plan.esrc], plan)
         new, code = _column_update(prev, pred_min, cost_rows[:, j - 1], drops[j - 1], s.root)
         dp[:, j] = new
         codes[:, j] = code
         preds[:, j] = best_pred
 
-    finals = s.predecessors[s.sink]
+    finals = plan.finals
     end_vals = dp[list(finals), n_clips]
     best = int(np.argmin(end_vals))  # argmin takes the first occurrence: lowest index
     cost = float(end_vals[best])
@@ -292,16 +295,16 @@ def graph_drop_dtw(s: TSortGraph, c: CostMatrix, d: DropCosts) -> Alignment:
         if code == _DROP_CODE:
             j -= 1
         elif code == _STAY_CODE:
-            labels[j - 1] = int(actives[i])
+            labels[j - 1] = int(plan.active[i])
             j -= 1
         else:
-            labels[j - 1] = int(actives[i])
+            labels[j - 1] = int(plan.active[i])
             i = int(preds[i, j])
             state_path.append(i)
             j -= 1
 
     tau_star = tuple(
-        int(actives[k]) for k in reversed(state_path) if not virtual[k]
+        int(plan.active[k]) for k in reversed(state_path) if not plan.virtual[k]
     )
     return _assemble(cost, labels, tau_star)
 

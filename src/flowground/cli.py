@@ -301,10 +301,6 @@ def ground(
         steps = EmbeddingSequence(read_matrix(steps_path), kind="step")
         clips = EmbeddingSequence(read_matrix(clips_path), kind="clip")
         c = compute_cost_matrix(steps, clips, temperature)
-    if c.n_steps != g.n_steps:
-        raise ValidationError(
-            f"cost matrix has {c.n_steps} rows but the graph has {g.n_steps} steps"
-        )
     d = compute_drop_costs(c, drop_percentile, per_column=per_column_drop)
     alignment = graph_drop_dtw(build_tsort_forward(g), c, d)
 
@@ -396,14 +392,14 @@ def train(
     dataset = [(g, clips, steps) for g, steps, clips, _, _ in loaded]
     dim = dataset[0][1].dim
     cfg = SmoothingConfig(gamma=gamma)
+    metas = [build_tsort_forward(normalize(g)) for g, *_ in loaded]
 
     def mean_accuracy(m: ProjectionModel) -> float:
         scores = []
-        for g, steps, clips, labels, _ in loaded:
-            gn = normalize(g)
+        for s, (_, steps, clips, labels, _) in zip(metas, loaded):
             c = compute_cost_matrix(steps, m.apply(clips), temperature)
             d = compute_drop_costs(c, drop_percentile)
-            a = graph_drop_dtw(build_tsort_forward(gn), c, d)
+            a = graph_drop_dtw(s, c, d)
             scores.append(framewise_accuracy(a.labels, labels))
         return float(np.mean(scores))
 

@@ -23,10 +23,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .align import CostMatrix, DropCosts, EmbeddingSequence, compute_cost_matrix
-from .errors import InfeasibleError, TrainingDivergedError, ValidationError
+from .align import (
+    CostMatrix,
+    DropCosts,
+    EmbeddingSequence,
+    _bind_costs,
+    compute_cost_matrix,
+)
+from .errors import TrainingDivergedError, ValidationError
 from .graph import FlowGraph, normalize
-from .tsort import TSortGraph, build_tsort_forward
+from .tsort import DPPlan, TSortGraph, build_tsort_forward
 
 
 @dataclass(frozen=True)
@@ -101,15 +107,9 @@ def _smooth_min2(x: np.ndarray, y: np.ndarray, gamma: float):
     return m, px, py
 
 
-def _segment_smooth_min(
-    vals: np.ndarray,
-    seg_starts: np.ndarray,
-    seg_dst: np.ndarray,
-    seg_repeat: np.ndarray,
-    n_rows: int,
-    gamma: float,
-):
+def _segment_smooth_min(vals: np.ndarray, plan: DPPlan, gamma: float):
     """Smooth minimum over incoming edge values, grouped by destination."""
+    seg_starts, seg_repeat = plan.seg_starts, plan.seg_repeat
     low = np.minimum.reduceat(vals, seg_starts)
     low_edge = np.repeat(low, seg_repeat)
     with np.errstate(invalid="ignore"):  # masked lanes may hold inf - inf
@@ -120,8 +120,8 @@ def _segment_smooth_min(
         w /= z_edge
         seg_sum = np.add.reduceat(np.where(w > 0, w * shifted, 0.0), seg_starts)
         m_seg = low + seg_sum
-        pool_min = np.full(n_rows, np.inf)
-        pool_min[seg_dst] = m_seg
+        pool_min = np.full(len(plan.active), np.inf)
+        pool_min[plan.seg_dst] = m_seg
         m_edge = np.repeat(m_seg, seg_repeat)
         partials = np.where(
             w > 0,
@@ -141,39 +141,16 @@ def soft_graph_drop_dtw(
     d(value)/dd obtained by reverse accumulation through the stored softmax
     weights.
     """
-    g = s.origin
-    n_clips = len(d)
+    plan = s.plan
+    cost_rows, row_of_state = _bind_costs(s, c, d)
+    n_rows, n_clips = cost_rows.shape
     gamma = cfg.gamma
-    if c.n_clips != n_clips:
-        raise ValidationError(
-            f"cost matrix has {c.n_clips} clips but drop costs have {n_clips}"
-        )
-    if g.n_steps > n_clips:
-        raise InfeasibleError(
-            f"{g.n_steps} steps cannot each take a clip from {n_clips} clips"
-        )
-
-    n_rows = len(s.nodes)
-    actives = [n.active for n in s.nodes]
-    virtual = np.array([g.nodes[a].is_virtual for a in actives])
-    cost_rows = np.full((n_rows, n_clips), np.inf)
-    row_of_state = np.full(n_rows, -1, dtype=np.int64)
-    for i, a in enumerate(actives):
-        if not virtual[i]:
-            row_of_state[i] = c.row_index[a]
-            cost_rows[i] = c.values[row_of_state[i]]
-
-    edges = np.array(sorted(s.edges, key=lambda e: (e[1], e[0])), dtype=np.int64)
-    esrc, edst = edges[:, 0], edges[:, 1]
-    seg_starts = np.flatnonzero(np.r_[True, edst[1:] != edst[:-1]])
-    seg_dst = edst[seg_starts]
-    seg_repeat = np.diff(np.r_[seg_starts, len(edst)])
 
     drops = d.values
     dp = np.full((n_rows, n_clips + 1), np.inf)
     dp[s.root, 0] = 0.0
     # Stored partials: inner pool per edge; (pool, stay) pair; (match, drop) pair.
-    pe = np.zeros((len(edges), n_clips + 1))
+    pe = np.zeros((len(plan.esrc), n_clips + 1))
     pa = np.zeros((n_rows, n_clips + 1))  # d plus / d pool
     pb = np.zeros((n_rows, n_clips + 1))  # d plus / d stay
     pp = np.zeros((n_rows, n_clips + 1))  # d cell / d plus
@@ -181,9 +158,7 @@ def soft_graph_drop_dtw(
 
     for j in range(1, n_clips + 1):
         prev = dp[:, j - 1]
-        pool, pe_col = _segment_smooth_min(
-            prev[esrc], seg_starts, seg_dst, seg_repeat, n_rows, gamma
-        )
+        pool, pe_col = _segment_smooth_min(prev[plan.esrc], plan, gamma)
         core, a_col, b_col = _smooth_min2(pool, prev, gamma)
         plus = cost_rows[:, j - 1] + core
         minus = prev + drops[j - 1]
@@ -200,7 +175,7 @@ def soft_graph_drop_dtw(
         pp[:, j] = p_col
         pq[:, j] = q_col
 
-    finals = list(s.predecessors[s.sink])
+    finals = list(plan.finals)
     value, w_final = smooth_min_grad(dp[finals, n_clips], gamma)
 
     grad_costs = np.zeros_like(c.values)
@@ -221,25 +196,9 @@ def soft_graph_drop_dtw(
         grad_drops[j - 1] += a_minus.sum()
         adj[:, j - 1] += a_plus * pb[:, j] + a_minus
         pool_adj = a_plus * pa[:, j]
-        np.add.at(adj[:, j - 1], esrc, pool_adj[edst] * pe[:, j])
+        np.add.at(adj[:, j - 1], plan.esrc, pool_adj[plan.edst] * pe[:, j])
 
     return LossValue(value=float(value), grad_costs=grad_costs, grad_drops=grad_drops)
-
-
-def attention_pooling(
-    clips: EmbeddingSequence, step: np.ndarray, gamma: float
-) -> np.ndarray:
-    """Pool the clip sequence with attention relative to one step vector."""
-    if gamma <= 0:
-        raise ValidationError("gamma must be positive")
-    step = np.asarray(step, dtype=np.float64)
-    if step.shape != (clips.dim,):
-        raise ValidationError("step vector dimension mismatch")
-    scores = clips.vectors @ step / gamma
-    scores -= scores.max()
-    att = np.exp(scores)
-    att /= att.sum()
-    return att @ clips.vectors
 
 
 def clustering_loss(

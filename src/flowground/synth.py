@@ -131,6 +131,8 @@ def load_instance(
         gt = json.loads((directory / "gt.json").read_text())
     except FileNotFoundError as exc:
         raise ValidationError(f"incomplete instance directory {directory}: {exc}")
+    if len(steps) != graph.n_steps:
+        raise ValidationError(f"{directory}/steps.csv: {len(steps)} rows for {graph.n_steps} steps")
     internal = {n.external_id: n.id for n in graph.nodes}
     try:
         labels = [lab if lab == DROP else internal[lab] for lab in gt["labels"]]
@@ -139,6 +141,8 @@ def load_instance(
         raise ValidationError(
             f"{directory}/gt.json references unknown node id {exc.args[0]}"
         ) from None
+    if len(labels) != len(clips):
+        raise ValidationError(f"{directory}/gt.json: {len(labels)} labels for {len(clips)} clips")
     return graph, steps, clips, labels, order
 
 

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
+import numpy as np
+
 from .errors import CapExceededError, ValidationError
 from .graph import BITMASK_WIDTH, FlowGraph
 
@@ -54,6 +56,25 @@ class TSortNode:
 
     def mark_ids(self) -> tuple[int, ...]:
         return tuple(_bits(self.mark))
+
+
+@dataclass(frozen=True, eq=False)
+class DPPlan:
+    """A meta-graph laid out for the grounding DPs; every array is read-only.
+
+    Edges are sorted by (destination, source), so each destination's incoming
+    edges form one segment: it starts at ``seg_starts``, belongs to
+    ``seg_dst`` and holds ``seg_repeat`` edges. ``finals`` precede the sink.
+    """
+
+    active: np.ndarray  # (S,) int64
+    virtual: np.ndarray  # (S,) bool
+    esrc: np.ndarray  # (E,) int64
+    edst: np.ndarray  # (E,) int64
+    seg_starts: np.ndarray
+    seg_dst: np.ndarray
+    seg_repeat: np.ndarray
+    finals: tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,6 +111,26 @@ class TSortGraph:
         for u, v in self.edges:
             inc[v].append(u)
         return tuple(tuple(sorted(p)) for p in inc)
+
+    @cached_property
+    def plan(self) -> DPPlan:
+        """Compiled layout shared by the hard and soft grounding DPs."""
+        active = np.array([n.active for n in self.nodes], dtype=np.int64)
+        edges = np.array(sorted(self.edges, key=lambda e: (e[1], e[0])), dtype=np.int64)
+        edst = edges[:, 1]
+        seg_starts = np.flatnonzero(np.r_[True, edst[1:] != edst[:-1]])
+        arrays = (
+            active,
+            np.array([n.is_virtual for n in self.origin.nodes])[active],
+            edges[:, 0],
+            edst,
+            seg_starts,
+            edst[seg_starts],
+            np.diff(np.r_[seg_starts, len(edst)]),
+        )
+        for arr in arrays:
+            arr.flags.writeable = False
+        return DPPlan(*arrays, finals=self.predecessors[self.sink])
 
     # -- canonical form ----------------------------------------------------
 

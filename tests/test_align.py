@@ -58,6 +58,9 @@ def test_cost_matrix_validation():
         compute_cost_matrix(steps, EmbeddingSequence(np.eye(2)), temperature=0.0)
     with pytest.raises(ValidationError, match="non-finite"):
         EmbeddingSequence(np.array([[np.nan, 1.0]]))
+    for row_index in ({0: 0, 1: 0}, {0: 0, 1: 2}, {0: 0}):
+        with pytest.raises(ValidationError, match="row_index"):
+            CostMatrix(np.ones((2, 3)), row_index=row_index)
 
 
 # -- drop costs ---------------------------------------------------------------

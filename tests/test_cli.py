@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flowground.cli import main
-from flowground.matio import write_matrix_csv
+from flowground.matio import read_matrix, write_matrix_csv
 
 FIG_GRAPH = {
     "nodes": [{"id": i, "label": f"step {i}"} for i in range(1, 6)],
@@ -168,6 +168,26 @@ def test_train_writes_trace(capsys, tmp_path):
     lines = trace.read_text().splitlines()
     assert lines[0] == "epoch,loss,accuracy"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("truncated", ["steps.csv", "gt.json"])
+def test_train_rejects_an_instance_with_missing_rows(capsys, tmp_path, truncated):
+    data = tmp_path / "data"
+    code, *_ = run(
+        capsys, "synth", "--spec", "2,1", "--n", 2, "--dim", 4, "--seed", 1,
+        "--out", data,
+    )
+    assert code == 0
+    path = data / "instance_001" / truncated
+    if truncated == "steps.csv":
+        write_matrix_csv(path, read_matrix(path)[:-1])
+    else:
+        gt = json.loads(path.read_text())
+        gt["labels"].pop()
+        path.write_text(json.dumps(gt))
+    code, _, err = run(capsys, "train", "--data", data, "--epochs", 1)
+    assert code == 1
+    assert truncated in err
 
 
 def test_determinism_byte_identical(capsys, fig_graph, tmp_path):

@@ -10,7 +10,7 @@ from flowground import (
     ThreadSpec,
     TrainingDivergedError,
     ValidationError,
-    attention_pooling,
+    build_tsort_backward,
     build_tsort_forward,
     clustering_loss,
     combined_loss,
@@ -171,26 +171,40 @@ def test_soft_shift_covariance_exact():
         assert shifted == pytest.approx(base + 6 * delta, abs=1e-9)
 
 
-# -- attention pooling / clustering ------------------------------------------------
+DPS = {
+    "hard": graph_drop_dtw,
+    "soft": lambda s, c, d: soft_graph_drop_dtw(s, c, d, SmoothingConfig()),
+}
 
 
-def test_attention_pooling_single_clip():
-    clips = EmbeddingSequence(np.array([[1.0, 2.0, 3.0]]), kind="clip")
-    out = attention_pooling(clips, np.array([0.5, 0.5, 0.5]), 0.7)
-    assert out == pytest.approx([1.0, 2.0, 3.0])
+@pytest.mark.parametrize("n_rows", [2, 5], ids=["missing", "extra"])
+@pytest.mark.parametrize("dp", DPS)
+def test_cost_rows_must_be_exactly_the_graph_steps(dp, n_rows):
+    s = build_tsort_forward(model_problem(ThreadSpec((2, 1))))
+    c = CostMatrix(np.ones((n_rows, 6)))
+    with pytest.raises(ValidationError):
+        DPS[dp](s, c, DropCosts(np.ones(6)))
 
 
-def test_attention_pooling_large_gamma_is_mean():
-    rng = np.random.default_rng(17)
-    clips = EmbeddingSequence(rng.normal(size=(6, 4)), kind="clip")
-    out = attention_pooling(clips, rng.normal(size=4), 1e6)
-    assert out == pytest.approx(clips.vectors.mean(axis=0), abs=1e-4)
+def test_dps_agree_on_forward_and_backward_meta_graphs():
+    rng = np.random.default_rng(18)
+    cfg = SmoothingConfig(0.3)
+    for _ in range(100):
+        g = random_dag_bounded(rng, max_steps=5, max_sorts=300)
+        c, d = random_costs(rng, g.n_steps, g.n_steps + 3)
+        fwd, bwd = build_tsort_forward(g), build_tsort_backward(g)
+        assert bwd.root != 0 and bwd.sink == 0
+        assert bwd.plan is bwd.plan
+        a, b = graph_drop_dtw(fwd, c, d), graph_drop_dtw(bwd, c, d)
+        assert abs(a.cost - b.cost) <= 1e-12
+        assert (a.tau_star, a.labels) == (b.tau_star, b.labels)
+        sa, sb = soft_graph_drop_dtw(fwd, c, d, cfg), soft_graph_drop_dtw(bwd, c, d, cfg)
+        assert abs(sa.value - sb.value) <= 1e-9
+        assert np.max(np.abs(sa.grad_costs - sb.grad_costs)) <= 1e-9
+        assert np.max(np.abs(sa.grad_drops - sb.grad_drops)) <= 1e-9
 
 
-def test_attention_pooling_saturates_on_aligned_clip():
-    clips = EmbeddingSequence(np.eye(2), kind="clip")
-    out = attention_pooling(clips, np.array([1.0, 0.0]), 0.01)
-    assert np.max(np.abs(out - [1.0, 0.0])) < 1e-4
+# -- clustering -------------------------------------------------------------------
 
 
 def test_clustering_loss_zero_on_perfect_match():
