@@ -10,6 +10,15 @@ All DP arithmetic is 64-bit floating point. Both DPs advance one clip per
 column, so each column depends only on the previous one; columns are
 processed with vectorized numpy operations.
 
+``graph_drop_dtw`` keeps values only: one clip-major float64 table, 8 bytes
+per meta-state per clip, whose column ``dp[j]`` is contiguous. The forward
+pass takes plain minima. The traceback recomputes each decision on the path
+from column ``j - 1``: it evaluates the same sums with the same operands, so
+it sees the values the forward compared. The tie rules therefore live in
+one place, the traceback; a tie never changes a minimum's value. ``drop_dtw``
+records its decisions in a code table during the forward pass instead, so
+the two cross-check each other.
+
 Tie-breaking in the traceback is deterministic: match beats drop, staying on
 the current step beats transitioning, and the lowest predecessor index wins.
 """
@@ -22,7 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InfeasibleError, ValidationError
-from .tsort import DPPlan, TSortGraph
+from .tsort import TSortGraph
 
 DROP = -1  # label for clips matched to no step
 
@@ -190,7 +199,7 @@ def _column_update(
     drop_cost: float,
     root_row: int,
 ):
-    """One DP column. Returns (new, code, pred_used_mask) honoring tie rules."""
+    """One DP column. Returns (new, code) honoring tie rules."""
     stay_wins = prev <= pred_min
     match_prev = np.where(stay_wins, prev, pred_min)
     d_plus = cost_col + match_prev
@@ -204,28 +213,14 @@ def _column_update(
     return new, code
 
 
-def _segment_min(vals: np.ndarray, plan: DPPlan):
-    """Per-destination min over incoming edge values, plus the lowest-index argmin."""
-    mins = np.minimum.reduceat(vals, plan.seg_starts)
-    n_rows = len(plan.active)
-    pred_min = np.full(n_rows, np.inf)
-    pred_min[plan.seg_dst] = mins
-    hit = vals == np.repeat(mins, plan.seg_repeat)
-    pos = np.where(hit, np.arange(len(vals)), len(vals))
-    first = np.minimum.reduceat(pos, plan.seg_starts)
-    best_pred = np.full(n_rows, -1, dtype=np.int64)
-    best_pred[plan.seg_dst] = plan.esrc[first]
-    return pred_min, best_pred
-
-
 def _bind_costs(
     s: TSortGraph, c: CostMatrix, d: DropCosts
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Check a grounding problem and lay its match costs out per meta-state.
+    """Check a grounding problem and map its meta-states to cost rows.
 
-    ``c`` must hold exactly one row per step of the graph. Returns each
-    state's (N,) cost row and its row index in ``c``; virtual states get a
-    row of +inf and index -1.
+    ``c`` must hold exactly one row per step of the graph. Returns the
+    (K+1, N) cost matrix padded with a last row of +inf, and each state's
+    row in it; virtual states get row -1, the +inf row.
     """
     steps = s.origin.step_ids
     n_clips = len(d)
@@ -245,9 +240,8 @@ def _bind_costs(
         )
     row_of_node = np.full(s.origin.n_nodes, -1, dtype=np.int64)
     row_of_node[list(steps)] = [c.row_index[v] for v in steps]
-    row_of_state = row_of_node[s.plan.active]
-    padded = np.vstack([c.values, np.full((1, n_clips), np.inf)])  # row -1: +inf
-    return padded[row_of_state], row_of_state
+    padded = np.vstack([c.values, np.full((1, n_clips), np.inf)])
+    return padded, row_of_node[s.plan.active]
 
 
 def graph_drop_dtw(s: TSortGraph, c: CostMatrix, d: DropCosts) -> Alignment:
@@ -260,48 +254,60 @@ def graph_drop_dtw(s: TSortGraph, c: CostMatrix, d: DropCosts) -> Alignment:
     recovers the segmentation, the dropped clips, and the realised sort.
     """
     plan = s.plan
-    cost_rows, _ = _bind_costs(s, c, d)
-    n_rows, n_clips = cost_rows.shape
-
+    padded, row_of_state = _bind_costs(s, c, d)
+    clip_costs = np.ascontiguousarray(padded.T)  # (N, K+1): row j = clip j
+    n_rows, n_clips = len(row_of_state), len(d)
     drops = d.values
-    dp = np.full((n_rows, n_clips + 1), np.inf)
-    dp[s.root, 0] = 0.0
-    codes = np.zeros((n_rows, n_clips + 1), dtype=np.int8)
-    preds = np.full((n_rows, n_clips + 1), -1, dtype=np.int64)
+    root = s.root
 
-    for j in range(1, n_clips + 1):
-        prev = dp[:, j - 1]
-        pred_min, best_pred = _segment_min(prev[plan.esrc], plan)
-        new, code = _column_update(prev, pred_min, cost_rows[:, j - 1], drops[j - 1], s.root)
-        dp[:, j] = new
-        codes[:, j] = code
-        preds[:, j] = best_pred
+    # dp[j] is the (S,) column after j clips. Its values are finite or +inf
+    # and never -0.0, so np.minimum gives the bits the traceback's ``<=``
+    # choices give.
+    dp = np.empty((n_clips + 1, n_rows))
+    dp[0] = np.inf
+    dp[0, root] = 0.0
+    pred_min = np.full(n_rows, np.inf)  # +inf stays where no edge comes in
+    match = np.empty(n_rows)
+    d_plus = np.empty(n_rows)
+    d_minus = np.empty(n_rows)
+    for j in range(n_clips):
+        prev = dp[j]
+        pred_min[plan.seg_dst] = np.minimum.reduceat(prev[plan.esrc], plan.seg_starts)
+        np.minimum(prev, pred_min, out=match)
+        # "wrap" sends the virtual states' row -1 to the +inf row
+        clip_costs[j].take(row_of_state, out=d_plus, mode="wrap")
+        d_plus += match
+        np.add(prev, drops[j], out=d_minus)
+        np.minimum(d_plus, d_minus, out=dp[j + 1])
+        dp[j + 1, root] = d_minus[root]
 
     finals = plan.finals
-    end_vals = dp[list(finals), n_clips]
+    end_vals = dp[n_clips, list(finals)]
     best = int(np.argmin(end_vals))  # argmin takes the first occurrence: lowest index
     cost = float(end_vals[best])
     if not np.isfinite(cost):
         raise InfeasibleError("no feasible alignment found")  # pragma: no cover
 
+    # Each step recomputes cell (i, j)'s decision from dp[j - 1] with the
+    # forward's sums and the tie rules of the module docstring.
+    preds = s.predecessors
     labels = [DROP] * n_clips
-    state_path = [finals[best]]
-    i, j = finals[best], n_clips
-    while not (i == s.root and j == 0):
-        if i == s.root:
-            j -= 1
-            continue
-        code = codes[i, j]
-        if code == _DROP_CODE:
-            j -= 1
-        elif code == _STAY_CODE:
+    i = finals[best]
+    state_path = [i]
+    for j in range(n_clips, 0, -1):
+        if i == root:
+            break  # the root row holds prefix drops only
+        prev = dp[j - 1]
+        stay = prev[i]
+        pred_vals = [prev[p] for p in preds[i]]
+        best_in = min(pred_vals, default=np.inf)
+        stays = stay <= best_in
+        d_plus = clip_costs[j - 1, row_of_state[i]] + (stay if stays else best_in)
+        if d_plus <= stay + drops[j - 1]:
             labels[j - 1] = int(plan.active[i])
-            j -= 1
-        else:
-            labels[j - 1] = int(plan.active[i])
-            i = int(preds[i, j])
-            state_path.append(i)
-            j -= 1
+            if not stays:
+                i = preds[i][pred_vals.index(best_in)]
+                state_path.append(i)
 
     tau_star = tuple(
         int(plan.active[k]) for k in reversed(state_path) if not plan.virtual[k]

@@ -389,10 +389,10 @@ def train(
 ):
     """Fit the clip projection on a synthetic dataset with the combined loss."""
     loaded = load_dataset(data_dir)
-    dataset = [(g, clips, steps) for g, steps, clips, _, _ in loaded]
+    metas = [build_tsort_forward(normalize(g)) for g, *_ in loaded]
+    dataset = [(s, clips, steps) for s, (_, steps, clips, _, _) in zip(metas, loaded)]
     dim = dataset[0][1].dim
     cfg = SmoothingConfig(gamma=gamma)
-    metas = [build_tsort_forward(normalize(g)) for g, *_ in loaded]
 
     def mean_accuracy(m: ProjectionModel) -> float:
         scores = []

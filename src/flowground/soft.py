@@ -142,7 +142,8 @@ def soft_graph_drop_dtw(
     weights.
     """
     plan = s.plan
-    cost_rows, row_of_state = _bind_costs(s, c, d)
+    padded, row_of_state = _bind_costs(s, c, d)
+    cost_rows = padded[row_of_state]
     n_rows, n_clips = cost_rows.shape
     gamma = cfg.gamma
 
@@ -248,6 +249,13 @@ def _percentile_support(values: np.ndarray, percentile: float):
     return float(value), support
 
 
+def _meta_graph(graph: FlowGraph | TSortGraph) -> TSortGraph:
+    """The forward meta-graph of a flow graph; a meta-graph passes through."""
+    if isinstance(graph, TSortGraph):
+        return graph
+    return build_tsort_forward(normalize(graph))
+
+
 def combined_loss(
     graph: FlowGraph | TSortGraph,
     steps: EmbeddingSequence,
@@ -263,10 +271,7 @@ def combined_loss(
     drop-cost percentile, returning the gradient with respect to the clip
     embeddings (the trainable side).
     """
-    if isinstance(graph, TSortGraph):
-        ts = graph
-    else:
-        ts = build_tsort_forward(normalize(graph))
+    ts = _meta_graph(graph)
     c = compute_cost_matrix(steps, clips, temperature)
     drop_value, support = _percentile_support(c.values, drop_percentile)
     d = DropCosts(np.full(c.n_clips, drop_value))
@@ -322,7 +327,7 @@ class ProjectionModel:
 
 
 def train_projection(
-    dataset: Sequence[tuple[FlowGraph, EmbeddingSequence, EmbeddingSequence]],
+    dataset: Sequence[tuple[FlowGraph | TSortGraph, EmbeddingSequence, EmbeddingSequence]],
     model: ProjectionModel,
     cfg: SmoothingConfig,
     lr: float,
@@ -334,7 +339,9 @@ def train_projection(
 ) -> tuple[ProjectionModel, list[tuple[int, float, float]]]:
     """Plain gradient descent of the combined loss over projected clips.
 
-    Dataset entries are (flow graph, clip embeddings, step embeddings).
+    Dataset entries are (flow graph or its meta-graph, clip embeddings, step
+    embeddings); a flow graph's meta-graph is built once, before the first
+    epoch.
     Returns the trained model and a trace of (epoch, mean loss, eval value)
     rows, with the loss measured before each step so row 0 is the starting
     loss. Aborts with :class:`TrainingDivergedError` on a non-finite loss.
@@ -343,7 +350,7 @@ def train_projection(
         raise ValidationError("training dataset is empty")
     weight = model.weight.copy()
     bias = model.bias.copy()
-    tsorts = [build_tsort_forward(normalize(g)) for g, _, _ in dataset]
+    tsorts = [_meta_graph(g) for g, _, _ in dataset]
     trace: list[tuple[int, float, float]] = []
 
     for epoch in range(epochs):

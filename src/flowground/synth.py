@@ -119,20 +119,30 @@ def save_instance(directory: str | Path, g: FlowGraph, inst: SyntheticInstance) 
     )
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: invalid JSON: {exc}") from None
+
+
 def load_instance(
     directory: str | Path,
 ) -> tuple[FlowGraph, EmbeddingSequence, EmbeddingSequence, list[int], list[int]]:
     """Returns (graph, steps, clips, gt labels, gt sort), ids mapped back to internal."""
     directory = Path(directory)
     try:
-        graph = parse_flow_graph(json.loads((directory / "graph.json").read_text()))
+        graph = parse_flow_graph(_read_json(directory / "graph.json"))
         steps = EmbeddingSequence(read_matrix(directory / "steps.csv"), kind="step")
         clips = EmbeddingSequence(read_matrix(directory / "clips.csv"), kind="clip")
-        gt = json.loads((directory / "gt.json").read_text())
+        gt = _read_json(directory / "gt.json")
     except FileNotFoundError as exc:
         raise ValidationError(f"incomplete instance directory {directory}: {exc}")
     if len(steps) != graph.n_steps:
         raise ValidationError(f"{directory}/steps.csv: {len(steps)} rows for {graph.n_steps} steps")
+    for key in ("labels", "sort"):
+        if not isinstance(gt, dict) or not isinstance(gt.get(key), list):
+            raise ValidationError(f'{directory}/gt.json needs a "{key}" list of node ids')
     internal = {n.external_id: n.id for n in graph.nodes}
     try:
         labels = [lab if lab == DROP else internal[lab] for lab in gt["labels"]]
@@ -141,6 +151,8 @@ def load_instance(
         raise ValidationError(
             f"{directory}/gt.json references unknown node id {exc.args[0]}"
         ) from None
+    except TypeError:  # an unhashable entry, such as a nested list
+        raise ValidationError(f"{directory}/gt.json holds a node id that is not a number") from None
     if len(labels) != len(clips):
         raise ValidationError(f"{directory}/gt.json: {len(labels)} labels for {len(clips)} clips")
     return graph, steps, clips, labels, order

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowground import (
     Alignment,
@@ -11,6 +14,7 @@ from flowground import (
     ThreadSpec,
     ValidationError,
     brute_force_ground,
+    build_tsort_backward,
     build_tsort_forward,
     compute_cost_matrix,
     compute_drop_costs,
@@ -19,7 +23,7 @@ from flowground import (
     model_problem,
     segmentation_labels,
 )
-from util import random_costs, random_dag_bounded
+from util import EDGE_PROBS, random_costs, random_dag, random_dag_bounded
 
 
 # -- cost construction -------------------------------------------------------
@@ -197,6 +201,47 @@ def test_matches_brute_force_on_random_instances():
         assert a.cost == pytest.approx(b.cost, abs=1e-9)
         assert a.tau_star == b.tau_star
         assert a.labels == b.labels
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_steps=st.integers(1, 6),
+    edge_prob=st.sampled_from(EDGE_PROBS),
+    build=st.sampled_from([build_tsort_forward, build_tsort_backward]),
+    ties=st.booleans(),
+)
+def test_graph_dp_equals_chain_dp_on_its_sort(seed, n_steps, edge_prob, build, ties):
+    # Pins the traceback's tie rules: integer-rounded costs tie often, and
+    # the chain DP breaks ties by the same rules in its own code.
+    rng = np.random.default_rng(seed)
+    g = random_dag(rng, n_steps, edge_prob)
+    c, d = random_costs(rng, n_steps, int(rng.integers(n_steps, n_steps + 12)))
+    if ties:
+        c, d = CostMatrix(np.round(c.values)), DropCosts(np.round(d.values))
+    a = graph_drop_dtw(build(g), c, d)
+    b = drop_dtw(a.tau_star, c, d)
+    assert a.cost == b.cost  # bit for bit
+    assert a.labels == b.labels
+
+
+def test_hard_dp_memory_is_the_value_table():
+    # 8 B per state and clip column; the per-call buffers and the clip-major
+    # costs are O(S + E) and O(N K) on top.
+    g = model_problem(ThreadSpec((4, 4, 4, 4)))
+    s = build_tsort_forward(g)
+    s.plan  # compiled once per meta-graph, outside the per-call peak
+    rng = np.random.default_rng(3)
+    n_clips = 400
+    c, d = random_costs(rng, g.n_steps, n_clips)
+    tracemalloc.start()
+    try:
+        graph_drop_dtw(s, c, d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(s.nodes) == 2002
+    assert peak <= 10 * len(s.nodes) * (n_clips + 1)
 
 
 def test_one_to_many_with_infinite_drop_cost():

@@ -190,6 +190,31 @@ def test_train_rejects_an_instance_with_missing_rows(capsys, tmp_path, truncated
     assert truncated in err
 
 
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("gt.json", '{"sort": [0, 1, 2]}', '"labels"'),
+        ("gt.json", '{"labels": []}', '"sort"'),
+        ("gt.json", "[0, 1, 2]", '"labels"'),
+        ("gt.json", '{"labels": [[0]], "sort": []}', "not a number"),
+        ("gt.json", "{bad", "invalid JSON"),
+        ("graph.json", "{bad", "invalid JSON"),
+    ],
+)
+def test_train_rejects_a_malformed_instance_file(capsys, tmp_path, name, text, message):
+    data = tmp_path / "data"
+    code, *_ = run(
+        capsys, "synth", "--spec", "2,1", "--n", 2, "--dim", 4, "--seed", 1,
+        "--out", data,
+    )
+    assert code == 0
+    (data / "instance_001" / name).write_text(text)
+    code, _, err = run(capsys, "train", "--data", data, "--epochs", 1)
+    assert code == 1
+    assert name in err and message in err
+    assert "Traceback" not in err
+
+
 def test_determinism_byte_identical(capsys, fig_graph, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
