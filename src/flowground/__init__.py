@@ -16,7 +16,6 @@ from .align import (
     compute_drop_costs,
     drop_dtw,
     graph_drop_dtw,
-    segmentation_labels,
 )
 from .brute import BenchReport, bench_compare, brute_force_ground
 from .errors import (
@@ -107,7 +106,6 @@ __all__ = [
     "model_problem",
     "normalize",
     "parse_flow_graph",
-    "segmentation_labels",
     "smooth_min",
     "smooth_min_grad",
     "soft_graph_drop_dtw",

@@ -25,8 +25,8 @@ the current step beats transitioning, and the lowest predecessor index wins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -63,10 +63,9 @@ class EmbeddingSequence:
 
 @dataclass(frozen=True, eq=False)
 class CostMatrix:
-    """Match costs C[i, j] between steps (rows) and clips (columns), in nats."""
+    """Match costs C[i, j] between step id i (row i) and clip j, in nats."""
 
     values: np.ndarray  # (K, N)
-    row_index: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
@@ -75,12 +74,6 @@ class CostMatrix:
         if not np.isfinite(arr).all():
             raise ValidationError("cost matrix contains non-finite values")
         object.__setattr__(self, "values", arr)
-        if not self.row_index:
-            object.__setattr__(
-                self, "row_index", {i: i for i in range(arr.shape[0])}
-            )
-        if sorted(self.row_index.values()) != list(range(arr.shape[0])):
-            raise ValidationError("row_index must name every cost row exactly once")
 
     @property
     def n_steps(self) -> int:
@@ -89,11 +82,6 @@ class CostMatrix:
     @property
     def n_clips(self) -> int:
         return self.values.shape[1]
-
-    def row(self, node_id: int) -> np.ndarray:
-        if node_id not in self.row_index:
-            raise ValidationError(f"no cost row for step node {node_id}")
-        return self.values[self.row_index[node_id]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,7 +123,6 @@ def compute_cost_matrix(
     steps: EmbeddingSequence,
     clips: EmbeddingSequence,
     temperature: float = 1.0,
-    node_ids: Sequence[int] | None = None,
 ) -> CostMatrix:
     """Negative log-likelihood costs from scaled dot products.
 
@@ -152,13 +139,7 @@ def compute_cost_matrix(
     scores = steps.vectors @ clips.vectors.T / temperature  # (K, N)
     shift = scores.max(axis=0, keepdims=True)
     log_norm = shift + np.log(np.exp(scores - shift).sum(axis=0, keepdims=True))
-    costs = log_norm - scores
-    row_index = None
-    if node_ids is not None:
-        if len(node_ids) != len(steps):
-            raise ValidationError("node_ids length must match the step count")
-        row_index = {nid: i for i, nid in enumerate(node_ids)}
-    return CostMatrix(values=costs, row_index=row_index or {})
+    return CostMatrix(values=log_norm - scores)
 
 
 def compute_drop_costs(
@@ -213,35 +194,36 @@ def _column_update(
     return new, code
 
 
-def _bind_costs(
-    s: TSortGraph, c: CostMatrix, d: DropCosts
-) -> tuple[np.ndarray, np.ndarray]:
-    """Check a grounding problem and map its meta-states to cost rows.
+def _check_problem(n_steps: int, c: CostMatrix, d: DropCosts) -> None:
+    """Check that ``c`` and ``d`` pose a grounding problem for steps 0..n_steps-1.
 
-    ``c`` must hold exactly one row per step of the graph. Returns the
-    (K+1, N) cost matrix padded with a last row of +inf, and each state's
-    row in it; virtual states get row -1, the +inf row.
+    Cost row i belongs to step id i, so ``c`` needs exactly ``n_steps`` rows
+    and as many clips as ``d``; every step must be able to take a clip.
     """
-    steps = s.origin.step_ids
     n_clips = len(d)
     if c.n_clips != n_clips:
         raise ValidationError(
             f"cost matrix has {c.n_clips} clips but drop costs have {n_clips}"
         )
-    unmatched = set(c.row_index).symmetric_difference(steps)
-    if unmatched:
+    if c.n_steps != n_steps:
         raise ValidationError(
-            f"cost matrix has {c.n_steps} rows but the graph has {len(steps)} steps "
-            f"(unmatched step nodes {sorted(unmatched)})"
+            f"cost matrix has {c.n_steps} rows but the graph has {n_steps} steps"
         )
-    if len(steps) > n_clips:
+    if n_steps > n_clips:
         raise InfeasibleError(
-            f"{len(steps)} steps cannot each take a clip from {n_clips} clips"
+            f"{n_steps} steps cannot each take a clip from {n_clips} clips"
         )
-    row_of_node = np.full(s.origin.n_nodes, -1, dtype=np.int64)
-    row_of_node[list(steps)] = [c.row_index[v] for v in steps]
-    padded = np.vstack([c.values, np.full((1, n_clips), np.inf)])
-    return padded, row_of_node[s.plan.active]
+
+
+def _bind_costs(s: TSortGraph, c: CostMatrix, d: DropCosts) -> np.ndarray:
+    """Check a grounding problem; return its costs with one row per node id.
+
+    The (K+2, N) result holds the steps' rows of ``c`` and then two +inf rows
+    for the virtual root and sink, which take the highest ids and match no
+    clip, so ``plan.active`` indexes it directly.
+    """
+    _check_problem(s.origin.n_steps, c, d)
+    return np.vstack([c.values, np.full((2, len(d)), np.inf)])
 
 
 def graph_drop_dtw(s: TSortGraph, c: CostMatrix, d: DropCosts) -> Alignment:
@@ -254,9 +236,12 @@ def graph_drop_dtw(s: TSortGraph, c: CostMatrix, d: DropCosts) -> Alignment:
     recovers the segmentation, the dropped clips, and the realised sort.
     """
     plan = s.plan
-    padded, row_of_state = _bind_costs(s, c, d)
-    clip_costs = np.ascontiguousarray(padded.T)  # (N, K+1): row j = clip j
-    n_rows, n_clips = len(row_of_state), len(d)
+    # (N, K+2): row j holds clip j's cost for every node id
+    clip_costs = np.ascontiguousarray(_bind_costs(s, c, d).T)
+    # take() copies read-only indices on every call, so gather with a
+    # writable copy; "clip" (no index is out of range) keeps ``out`` unbuffered
+    active = plan.active.copy()
+    n_rows, n_clips = len(active), len(d)
     drops = d.values
     root = s.root
 
@@ -274,8 +259,7 @@ def graph_drop_dtw(s: TSortGraph, c: CostMatrix, d: DropCosts) -> Alignment:
         prev = dp[j]
         pred_min[plan.seg_dst] = np.minimum.reduceat(prev[plan.esrc], plan.seg_starts)
         np.minimum(prev, pred_min, out=match)
-        # "wrap" sends the virtual states' row -1 to the +inf row
-        clip_costs[j].take(row_of_state, out=d_plus, mode="wrap")
+        clip_costs[j].take(active, out=d_plus, mode="clip")
         d_plus += match
         np.add(prev, drops[j], out=d_minus)
         np.minimum(d_plus, d_minus, out=dp[j + 1])
@@ -302,15 +286,15 @@ def graph_drop_dtw(s: TSortGraph, c: CostMatrix, d: DropCosts) -> Alignment:
         pred_vals = [prev[p] for p in preds[i]]
         best_in = min(pred_vals, default=np.inf)
         stays = stay <= best_in
-        d_plus = clip_costs[j - 1, row_of_state[i]] + (stay if stays else best_in)
+        d_plus = clip_costs[j - 1, active[i]] + (stay if stays else best_in)
         if d_plus <= stay + drops[j - 1]:
-            labels[j - 1] = int(plan.active[i])
+            labels[j - 1] = int(active[i])
             if not stays:
                 i = preds[i][pred_vals.index(best_in)]
                 state_path.append(i)
 
     tau_star = tuple(
-        int(plan.active[k]) for k in reversed(state_path) if not plan.virtual[k]
+        int(active[k]) for k in reversed(state_path) if not plan.virtual[k]
     )
     return _assemble(cost, labels, tau_star)
 
@@ -324,21 +308,13 @@ def drop_dtw(
     by ``step_order``; kept independent of the meta-graph machinery so the
     two act as mutual cross-checks.
     """
-    n_clips = len(d)
-    if c.n_clips != n_clips:
-        raise ValidationError(
-            f"cost matrix has {c.n_clips} clips but drop costs have {n_clips}"
-        )
     order = [int(v) for v in step_order]
-    if sorted(order) != sorted(c.row_index):
+    n_steps, n_clips = len(order), len(d)
+    if sorted(order) != list(range(n_steps)):
         raise ValidationError("step_order must be a permutation of the cost rows")
-    n_steps = len(order)
-    if n_steps > n_clips:
-        raise InfeasibleError(
-            f"{n_steps} steps cannot each take a clip from {n_clips} clips"
-        )
+    _check_problem(n_steps, c, d)
 
-    cost_rows = np.vstack([np.full((1, n_clips), np.inf)] + [c.row(v) for v in order])
+    cost_rows = np.vstack([np.full((1, n_clips), np.inf), c.values[order]])
     n_rows = n_steps + 1
     drops = d.values
 
@@ -378,14 +354,14 @@ def drop_dtw(
 
 
 def drop_dtw_cost(step_order: Sequence[int], c: CostMatrix, d: DropCosts) -> float:
-    """Cost-only variant of :func:`drop_dtw` (no traceback bookkeeping)."""
+    """Cost-only variant of :func:`drop_dtw` (no traceback bookkeeping).
+
+    Unchecked: the caller passes a problem that :func:`_check_problem`
+    accepts and a permutation of its step ids.
+    """
     n_clips = len(d)
     order = list(step_order)
-    if len(order) > n_clips:
-        raise InfeasibleError(
-            f"{len(order)} steps cannot each take a clip from {n_clips} clips"
-        )
-    cost_rows = [c.row(v) for v in order]
+    cost_rows = [c.values[v] for v in order]
     drops = d.values
     inf = np.inf
     prev = [0.0] + [inf] * len(order)
@@ -399,20 +375,6 @@ def drop_dtw_cost(step_order: Sequence[int], c: CostMatrix, d: DropCosts) -> flo
             cur.append(d_plus if d_plus <= d_minus else d_minus)
         prev = cur
     return float(prev[-1])
-
-
-def segmentation_labels(a: Alignment, n_clips: int) -> list[int]:
-    """Per-clip step labels rebuilt from the segment hulls and the drop set."""
-    if n_clips != len(a.labels):
-        raise ValidationError(
-            f"alignment covers {len(a.labels)} clips, not {n_clips}"
-        )
-    labels = [DROP] * n_clips
-    for step, (start, end) in a.segments.items():
-        for j in range(start, end + 1):
-            if j not in a.dropped:
-                labels[j] = step
-    return labels
 
 
 def _assemble(cost: float, labels: list[int], tau_star: tuple[int, ...]) -> Alignment:

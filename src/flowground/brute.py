@@ -11,8 +11,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .align import Alignment, CostMatrix, DropCosts, drop_dtw, drop_dtw_cost, graph_drop_dtw
-from .errors import InfeasibleError
+from .align import (
+    Alignment,
+    CostMatrix,
+    DropCosts,
+    _check_problem,
+    drop_dtw,
+    drop_dtw_cost,
+    graph_drop_dtw,
+)
 from .graph import DEFAULT_SORT_CAP, FlowGraph, enumerate_topological_sorts, normalize
 from .tsort import build_tsort_forward
 
@@ -25,10 +32,7 @@ def brute_force_ground(
     Sorts are scanned in lexicographic order with a cost-only pass, then the
     winner is re-aligned with full traceback.
     """
-    if g.n_steps > len(d):
-        raise InfeasibleError(
-            f"{g.n_steps} steps cannot each take a clip from {len(d)} clips"
-        )
+    _check_problem(g.n_steps, c, d)
     best_tau = None
     best_cost = float("inf")
     for tau in enumerate_topological_sorts(g, cap=cap):

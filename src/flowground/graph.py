@@ -6,7 +6,9 @@ carries exactly one virtual root and one virtual sink so that every traversal
 has unique endpoints. Virtual nodes never correspond to observations.
 
 Node-id conventions: ids are dense and 0-based. Step nodes come first
-(0..K-1), the virtual root and sink are appended by :func:`normalize`.
+(0..K-1), the virtual root and sink are appended by :func:`normalize`;
+validation rejects a virtual node below a step's id. Step id i is row i of
+a cost matrix.
 Parsed documents may use arbitrary unique integer ids; they are remapped to
 the dense convention (ascending original order) and the original id is kept
 on each node as ``source_id``.
@@ -113,10 +115,6 @@ class FlowGraph:
     @property
     def n_steps(self) -> int:
         return len(self.step_ids)
-
-    def node(self, node_id: int) -> StepNode:
-        self._check_id(node_id)
-        return self.nodes[node_id]
 
     def _check_id(self, node_id: int) -> None:
         if not (0 <= node_id < len(self.nodes)):
@@ -329,6 +327,8 @@ def _validate(g: FlowGraph) -> None:
     virtuals = [node.id for node in g.nodes if node.is_virtual]
     if set(virtuals) - {g.root_id, g.sink_id}:
         raise ValidationError("virtual nodes other than the declared root/sink")
+    if virtuals != list(range(n - len(virtuals), n)):
+        raise ValidationError("virtual nodes must take the highest ids")
 
 
 def _reachable(start: int, adj: Sequence[Sequence[int]]) -> set[int]:

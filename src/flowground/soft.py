@@ -142,8 +142,8 @@ def soft_graph_drop_dtw(
     weights.
     """
     plan = s.plan
-    padded, row_of_state = _bind_costs(s, c, d)
-    cost_rows = padded[row_of_state]
+    padded = _bind_costs(s, c, d)
+    cost_rows = padded[plan.active]
     n_rows, n_clips = cost_rows.shape
     gamma = cfg.gamma
 
@@ -179,27 +179,26 @@ def soft_graph_drop_dtw(
     finals = list(plan.finals)
     value, w_final = smooth_min_grad(dp[finals, n_clips], gamma)
 
-    grad_costs = np.zeros_like(c.values)
+    grad_padded = np.zeros_like(padded)  # the virtual states' rows are dropped
     grad_drops = np.zeros(n_clips)
     adj = np.zeros((n_rows, n_clips + 1))
     adj[finals, n_clips] = w_final
 
-    valid_rows = row_of_state >= 0
     for j in range(n_clips, 0, -1):
         a_j = adj[:, j]
         if not a_j.any():
             continue
         a_plus = a_j * pp[:, j]
         a_minus = a_j * pq[:, j]
-        np.add.at(
-            grad_costs[:, j - 1], row_of_state[valid_rows], a_plus[valid_rows]
-        )
+        np.add.at(grad_padded[:, j - 1], plan.active, a_plus)
         grad_drops[j - 1] += a_minus.sum()
         adj[:, j - 1] += a_plus * pb[:, j] + a_minus
         pool_adj = a_plus * pa[:, j]
         np.add.at(adj[:, j - 1], plan.esrc, pool_adj[plan.edst] * pe[:, j])
 
-    return LossValue(value=float(value), grad_costs=grad_costs, grad_drops=grad_drops)
+    return LossValue(
+        value=float(value), grad_costs=grad_padded[: c.n_steps], grad_drops=grad_drops
+    )
 
 
 def clustering_loss(

@@ -88,15 +88,14 @@ class TSortGraph:
     origin: FlowGraph
     variant: str  # "forward" | "backward"
 
-    def num_nodes(self, include_sink: bool = False) -> int:
-        """Meta-graph size.
+    def num_nodes(self) -> int:
+        """Meta-graph size, without the terminal state for the virtual sink.
 
-        The terminal state for the origin's virtual sink is bookkeeping (it
-        matches no observation and exists so the graph has a single sink);
-        by default it is excluded, which makes model-problem sizes equal the
-        closed-form count.
+        That state is bookkeeping (it matches no observation and exists so
+        the graph has a single sink); leaving it out makes model-problem
+        sizes equal the closed-form count.
         """
-        return len(self.nodes) - (0 if include_sink else 1)
+        return len(self.nodes) - 1
 
     @cached_property
     def successors(self) -> tuple[tuple[int, ...], ...]:

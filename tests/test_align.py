@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowground import (
-    Alignment,
     CostMatrix,
     DropCosts,
     DROP,
@@ -21,7 +20,6 @@ from flowground import (
     drop_dtw,
     graph_drop_dtw,
     model_problem,
-    segmentation_labels,
 )
 from util import EDGE_PROBS, random_costs, random_dag, random_dag_bounded
 
@@ -62,9 +60,6 @@ def test_cost_matrix_validation():
         compute_cost_matrix(steps, EmbeddingSequence(np.eye(2)), temperature=0.0)
     with pytest.raises(ValidationError, match="non-finite"):
         EmbeddingSequence(np.array([[np.nan, 1.0]]))
-    for row_index in ({0: 0, 1: 0}, {0: 0, 1: 2}, {0: 0}):
-        with pytest.raises(ValidationError, match="row_index"):
-            CostMatrix(np.ones((2, 3)), row_index=row_index)
 
 
 # -- drop costs ---------------------------------------------------------------
@@ -270,10 +265,13 @@ def test_alignment_invariants_random():
         # every step appears in exactly one segment
         assert set(a.segments) == set(range(g.n_steps))
         assert sorted(a.tau_star) == list(range(g.n_steps))
-        # matched clips + drops tile the clip axis
-        matched = {j for j, lab in enumerate(a.labels) if lab != DROP}
-        assert matched | set(a.dropped) == set(range(n_clips))
-        assert not matched & set(a.dropped)
+        # dropped is exactly the DROP positions of labels, and each segment
+        # is the hull of its step's positions there
+        assert len(a.labels) == n_clips
+        assert a.dropped == {j for j, lab in enumerate(a.labels) if lab == DROP}
+        for step, (start, end) in a.segments.items():
+            at = [j for j, lab in enumerate(a.labels) if lab == step]
+            assert (start, end) == (at[0], at[-1])
         # segment hulls appear in tau_star order and never interleave
         hulls = [a.segments[s] for s in a.tau_star]
         assert all(h1[1] < h2[0] for h1, h2 in zip(hulls, hulls[1:]))
@@ -334,38 +332,3 @@ def test_interior_drop_spans_segment_hull():
     assert a.labels == (0, DROP, 0)
     assert a.segments == {0: (0, 2)}
     assert a.dropped == {1}
-    assert segmentation_labels(a, 3) == [0, DROP, 0]
-
-
-def test_segmentation_labels_from_segments():
-    a = Alignment(
-        cost=0.0,
-        segments={5: (0, 2)},
-        dropped=frozenset({3}),
-        tau_star=(5,),
-        labels=(5, 5, 5, DROP),
-    )
-    assert segmentation_labels(a, 4) == [5, 5, 5, DROP]
-
-
-def test_segmentation_labels_all_dropped():
-    a = Alignment(
-        cost=0.0,
-        segments={},
-        dropped=frozenset({0, 1}),
-        tau_star=(),
-        labels=(DROP, DROP),
-    )
-    assert segmentation_labels(a, 2) == [DROP, DROP]
-    with pytest.raises(ValidationError):
-        segmentation_labels(a, 3)
-
-
-def test_segmentation_labels_roundtrip_random():
-    rng = np.random.default_rng(14)
-    for _ in range(20):
-        g = random_dag_bounded(rng, max_steps=5, max_sorts=200)
-        n_clips = g.n_steps + 4
-        c, d = random_costs(rng, g.n_steps, n_clips)
-        a = brute_force_ground(g, c, d)
-        assert tuple(segmentation_labels(a, n_clips)) == a.labels

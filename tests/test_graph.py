@@ -106,6 +106,20 @@ def test_normalize_two_parallel_steps_is_diamond():
     assert g.descendants(g.root_id) == {0, 1}
 
 
+def test_virtual_nodes_take_the_highest_ids():
+    # cost row i is step id i, so steps must be 0..K-1 with the virtual
+    # root and sink after them; here the root is 0 and the steps 1..3
+    k = 3
+    nodes = (
+        (StepNode(id=0, is_virtual=True),)
+        + tuple(StepNode(id=i) for i in range(1, k + 1))
+        + (StepNode(id=k + 1, is_virtual=True),)
+    )
+    edges = frozenset({(0, 1), (1, 2), (2, 3), (3, k + 1)})
+    with pytest.raises(ValidationError, match="highest ids"):
+        FlowGraph(nodes=nodes, edges=edges, root_id=0, sink_id=k + 1)
+
+
 # -- relations ----------------------------------------------------------------
 
 

@@ -10,10 +10,12 @@ from flowground import (
     ThreadSpec,
     TrainingDivergedError,
     ValidationError,
+    brute_force_ground,
     build_tsort_backward,
     build_tsort_forward,
     clustering_loss,
     combined_loss,
+    drop_dtw,
     graph_drop_dtw,
     model_problem,
     smooth_min,
@@ -171,19 +173,27 @@ def test_soft_shift_covariance_exact():
         assert shifted == pytest.approx(base + 6 * delta, abs=1e-9)
 
 
-DPS = {
+ROUTES = {
     "hard": graph_drop_dtw,
     "soft": lambda s, c, d: soft_graph_drop_dtw(s, c, d, SmoothingConfig()),
+    "chain": lambda s, c, d: drop_dtw(range(s.origin.n_steps), c, d),
+    "brute": lambda s, c, d: brute_force_ground(s.origin, c, d),
 }
 
 
-@pytest.mark.parametrize("n_rows", [2, 5], ids=["missing", "extra"])
-@pytest.mark.parametrize("dp", DPS)
-def test_cost_rows_must_be_exactly_the_graph_steps(dp, n_rows):
+@pytest.mark.parametrize(
+    "shape",
+    [(3, 5), (3, 7), (2, 6), (4, 6)],
+    ids=["fewer-clips", "more-clips", "missing", "extra"],
+)
+@pytest.mark.parametrize("route", ROUTES)
+def test_cost_rows_must_be_exactly_the_graph_steps(route, shape):
+    # cost row i is step i: three steps need three rows and, with six drop
+    # costs, six clips
     s = build_tsort_forward(model_problem(ThreadSpec((2, 1))))
-    c = CostMatrix(np.ones((n_rows, 6)))
+    c = CostMatrix(np.ones(shape))
     with pytest.raises(ValidationError):
-        DPS[dp](s, c, DropCosts(np.ones(6)))
+        ROUTES[route](s, c, DropCosts(np.ones(6)))
 
 
 def test_dps_agree_on_forward_and_backward_meta_graphs():
