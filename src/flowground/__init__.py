@@ -47,6 +47,7 @@ from .soft import (
     smooth_min,
     smooth_min_grad,
     soft_graph_drop_dtw,
+    soft_graph_drop_dtw_batch,
     train_projection,
 )
 from .synth import SynthParams, SyntheticInstance, generate
@@ -109,5 +110,6 @@ __all__ = [
     "smooth_min",
     "smooth_min_grad",
     "soft_graph_drop_dtw",
+    "soft_graph_drop_dtw_batch",
     "train_projection",
 ]

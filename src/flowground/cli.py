@@ -389,7 +389,13 @@ def train(
 ):
     """Fit the clip projection on a synthetic dataset with the combined loss."""
     loaded = load_dataset(data_dir)
-    metas = [build_tsort_forward(normalize(g)) for g, *_ in loaded]
+    built: dict = {}  # one meta-graph per distinct normalized flow graph
+    metas = []
+    for g, *_ in loaded:
+        key = normalize(g)
+        if key not in built:
+            built[key] = build_tsort_forward(key)
+        metas.append(built[key])
     dataset = [(s, clips, steps) for s, (_, steps, clips, _, _) in zip(metas, loaded)]
     dim = dataset[0][1].dim
     cfg = SmoothingConfig(gamma=gamma)

@@ -10,10 +10,17 @@ As gamma -> 0 the weights collapse onto the minimum and the soft value
 converges to the hard one.
 
 Every smooth-min keeps the nesting of the hard recursion (inner minimum over
-meta-predecessors, then against staying, then match against drop), and all
-softmax weights are stored during the forward pass so gradients with respect
-to the match costs and drop costs come out of one reverse sweep over the DP
-table.
+meta-predecessors, then against staying, then match against drop), and the
+gradients with respect to the match costs and drop costs come out of one
+reverse sweep over the DP table. The forward keeps the value table, 8 B per
+meta-state and clip, and keeps each column's smooth-min partials only while
+all of them fit in ``_PARTIALS_BUDGET`` bytes; otherwise the reverse sweep
+recomputes a column's partials from the previous value column, with the
+forward's own arithmetic, so both ways give the same bits.
+
+One DP grounds a batch of problems that share a meta-graph
+(:func:`soft_graph_drop_dtw_batch`); training batches all the instances of
+each meta-graph this way.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from .align import (
     CostMatrix,
     DropCosts,
     EmbeddingSequence,
-    _bind_costs,
+    _check_problem,
     compute_cost_matrix,
 )
 from .errors import TrainingDivergedError, ValidationError
@@ -83,52 +90,155 @@ def smooth_min_grad(
     return m, grads
 
 
-def _smooth_min2(x: np.ndarray, y: np.ndarray, gamma: float):
-    """Elementwise smooth minimum of two arrays, with partials for both."""
+# Stored partials that would take more bytes than this are recomputed from
+# ``dp`` in the reverse sweep instead.
+_PARTIALS_BUDGET = 4 * 2**20
+
+
+def _smooth_min2(x: np.ndarray, y: np.ndarray, gamma: float, partials: bool):
+    """Elementwise smooth minimum of two arrays, and its partials if asked.
+
+    The lower input's weight numerator is exp(0) = 1, so one exp serves both
+    inputs. Lanes where both inputs are +inf give +inf and zero partials.
+    """
     low = np.minimum(x, y)
-    finite = np.isfinite(low)  # low infinite <=> both inputs infinite
-    with np.errstate(invalid="ignore"):  # masked lanes may hold inf - inf
-        xs = np.where(np.isfinite(x), x - low, np.inf)
-        ys = np.where(np.isfinite(y), y - low, np.inf)
-        wx = np.exp(-xs / gamma)
-        wy = np.exp(-ys / gamma)
-        z = np.where(finite, wx + wy, 1.0)
-        wx /= z
-        wy /= z
-        m = low + np.where(wx > 0, wx * xs, 0.0) + np.where(wy > 0, wy * ys, 0.0)
-        px = np.where(
-            wx > 0, wx * (1.0 - np.where(np.isfinite(x), x - m, 0.0) / gamma), 0.0
-        )
-        py = np.where(
-            wy > 0, wy * (1.0 - np.where(np.isfinite(y), y - m, 0.0) / gamma), 0.0
-        )
-    px[~finite] = 0.0
-    py[~finite] = 0.0
-    return m, px, py
+    high = np.maximum(x, y)
+    gap = high - low  # +inf where only ``high`` is; nan where both are
+    e = gap / -gamma
+    np.exp(e, out=e)
+    z = 1.0 + e
+    w_high = e / z
+    m = low + np.fmax(w_high * gap, 0.0)  # fmax turns 0 * inf and nan into 0
+    if not partials:
+        return m, None, None
+    # the low side's partial is at least its weight, 1 / z >= 1/2, or nan
+    p_low = np.fmax((1.0 / z) * (1.0 - (low - m) / gamma), 0.0)
+    p_high = np.where(w_high > 0, w_high * (1.0 - (high - m) / gamma), 0.0)
+    x_low = x <= y
+    return m, np.where(x_low, p_low, p_high), np.where(x_low, p_high, p_low)
 
 
-def _segment_smooth_min(vals: np.ndarray, plan: DPPlan, gamma: float):
-    """Smooth minimum over incoming edge values, grouped by destination."""
-    seg_starts, seg_repeat = plan.seg_starts, plan.seg_repeat
-    low = np.minimum.reduceat(vals, seg_starts)
-    low_edge = np.repeat(low, seg_repeat)
+def _segment_smooth_min(vals: np.ndarray, plan: DPPlan, gamma: float, partials: bool):
+    """Smooth minimum over each row's incoming edge values, per destination."""
+    low = np.minimum.reduceat(vals, plan.seg_starts, axis=1)
+    # +inf edges stay +inf, also where the whole segment is +inf
+    shifted = vals - np.where(np.isfinite(low), low, 0.0).take(plan.eseg, axis=1)
+    w = shifted / -gamma
+    np.exp(w, out=w)
+    z = np.add.reduceat(w, plan.seg_starts, axis=1)  # >= 1 (the minimum's term is 1) or 0
+    w /= np.maximum(z, 1.0).take(plan.eseg, axis=1)
+    m_seg = low + np.add.reduceat(np.fmax(w * shifted, 0.0), plan.seg_starts, axis=1)
+    if not partials:
+        return m_seg, None
+    m_edge = m_seg.take(plan.eseg, axis=1)
+    return m_seg, np.where(w > 0, w * (1.0 - (vals - m_edge) / gamma), 0.0)
+
+
+def _soft_column(prev, match, drop, plan: DPPlan, root: int, gamma: float, partials: bool):
+    """One clip column of the soft DP for a (B, S) batch, and its partials if asked.
+
+    ``match`` is overwritten. The partials are d pool / d edge value,
+    d core / d pool, d core / d stay, d cell / d plus and d cell / d minus.
+    """
+    m_seg, pe = _segment_smooth_min(prev.take(plan.esrc, axis=1), plan, gamma, partials)
+    pool = np.full_like(prev, np.inf)  # +inf stays where no edge comes in
+    pool[:, plan.seg_dst] = m_seg
+    core, pa, pb = _smooth_min2(pool, prev, gamma, partials)
+    minus = prev + drop[:, None]
+    match += core
+    cell, pp, pq = _smooth_min2(match, minus, gamma, partials)
+    # The root row accumulates prefix drops with no choice to smooth.
+    cell[:, root] = minus[:, root]
+    if not partials:
+        return cell, None
+    pp[:, root] = pa[:, root] = pb[:, root] = 0.0
+    pq[:, root] = 1.0
+    return cell, (pe, pa, pb, pp, pq)
+
+
+def soft_graph_drop_dtw_batch(
+    s: TSortGraph,
+    problems: Sequence[tuple[CostMatrix, DropCosts]],
+    cfg: SmoothingConfig,
+) -> list[LossValue]:
+    """Soft grounding of several (costs, drops) problems on one meta-graph.
+
+    One DP runs over the whole batch: each column is a (B, S) array, and
+    shorter problems are padded at the tail with +inf match costs and zero
+    drop costs, which leaves their values unchanged; each value is read at
+    its own clip count. Every result equals :func:`soft_graph_drop_dtw` on
+    that problem alone, bit for bit.
+    """
+    if not problems:
+        return []
+    plan, gamma, root = s.plan, cfg.gamma, s.root
+    n_steps, n_ids = s.origin.n_steps, s.origin.n_nodes
+    lengths = [len(d) for _, d in problems]
+    n_batch, n_max = len(problems), max(lengths)
+    n_rows, n_edges = len(plan.active), len(plan.esrc)
+    # Clip-major costs with one column per node id: the virtual root's and
+    # sink's stay +inf, as do the padded clips'.
+    costs = np.full((n_max, n_batch, n_ids), np.inf)
+    drops = np.zeros((n_max, n_batch))
+    for b, (c, d) in enumerate(problems):
+        _check_problem(n_steps, c, d)
+        costs[: len(d), b, :n_steps] = c.values.T
+        drops[: len(d), b] = d.values
+
+    # dp[j] is the (B, S) column after j clips; it is all the forward keeps
+    # unless every column's partials fit in the budget.
+    dp = np.empty((n_max + 1, n_batch, n_rows))
+    dp[0] = np.inf
+    dp[0, :, root] = 0.0
+    keep = 8 * n_batch * (n_edges + 4 * n_rows) * n_max <= _PARTIALS_BUDGET
+    kept = []
+
+    def column(j: int, partials: bool):
+        match = costs[j].take(plan.active, axis=1)
+        return _soft_column(dp[j], match, drops[j], plan, root, gamma, partials)
+
     with np.errstate(invalid="ignore"):  # masked lanes may hold inf - inf
-        shifted = np.where(np.isfinite(vals), vals - low_edge, np.inf)
-        w = np.exp(-shifted / gamma)
-        z = np.add.reduceat(w, seg_starts)
-        z_edge = np.repeat(np.where(z > 0, z, 1.0), seg_repeat)
-        w /= z_edge
-        seg_sum = np.add.reduceat(np.where(w > 0, w * shifted, 0.0), seg_starts)
-        m_seg = low + seg_sum
-        pool_min = np.full(len(plan.active), np.inf)
-        pool_min[plan.seg_dst] = m_seg
-        m_edge = np.repeat(m_seg, seg_repeat)
-        partials = np.where(
-            w > 0,
-            w * (1.0 - np.where(np.isfinite(vals), vals - m_edge, 0.0) / gamma),
-            0.0,
+        for j in range(n_max):
+            dp[j + 1], partials = column(j, keep)
+            if keep:
+                kept.append(partials)
+
+        finals = list(plan.finals)
+        seeds = [smooth_min_grad(dp[n, b, finals], gamma) for b, n in enumerate(lengths)]
+        grad = np.empty((n_max, n_batch, n_ids))
+        grad_drops = np.zeros((n_max, n_batch))
+        adj = np.zeros((n_batch, n_rows))
+        offsets = np.arange(n_batch)[:, None]
+        cost_bins = (offsets * n_ids + plan.active).ravel()
+        # A state's adjoint takes its own terms first and then its out-edges'
+        # in edge order: the single-problem sweep's order of additions.
+        adj_bins = (offsets * n_rows + np.r_[np.arange(n_rows), plan.esrc]).ravel()
+        for j in range(n_max, 0, -1):
+            for b, n in enumerate(lengths):
+                if n == j:  # the problem's adjoints past its own end are all 0.0
+                    adj[b, finals] = seeds[b][1]
+            pe, pa, pb, pp, pq = kept[j - 1] if keep else column(j - 1, True)[1]
+            a_plus = adj * pp
+            a_minus = adj * pq
+            grad[j - 1] = np.bincount(cost_bins, a_plus.ravel(), n_batch * n_ids).reshape(
+                n_batch, n_ids
+            )
+            grad_drops[j - 1] += a_minus.sum(axis=1)  # 0.0 + sum, as in a zeroed table
+            terms = np.concatenate(
+                [a_plus * pb + a_minus, (a_plus * pa).take(plan.edst, axis=1) * pe], axis=1
+            )
+            adj = np.bincount(adj_bins, terms.ravel(), n_batch * n_rows).reshape(
+                n_batch, n_rows
+            )
+
+    return [
+        LossValue(
+            value=float(value),
+            grad_costs=np.ascontiguousarray(grad[:n, b, :n_steps].T),
+            grad_drops=grad_drops[:n, b].copy(),
         )
-    return pool_min, partials
+        for b, (n, (value, _)) in enumerate(zip(lengths, seeds))
+    ]
 
 
 def soft_graph_drop_dtw(
@@ -138,67 +248,11 @@ def soft_graph_drop_dtw(
 
     The forward table mirrors :func:`flowground.align.graph_drop_dtw` with
     every minimum smoothed; the returned gradients are d(value)/dC and
-    d(value)/dd obtained by reverse accumulation through the stored softmax
-    weights.
+    d(value)/dd obtained by reverse accumulation through the DP table.
+    This is :func:`soft_graph_drop_dtw_batch` on a batch of one.
     """
-    plan = s.plan
-    padded = _bind_costs(s, c, d)
-    cost_rows = padded[plan.active]
-    n_rows, n_clips = cost_rows.shape
-    gamma = cfg.gamma
-
-    drops = d.values
-    dp = np.full((n_rows, n_clips + 1), np.inf)
-    dp[s.root, 0] = 0.0
-    # Stored partials: inner pool per edge; (pool, stay) pair; (match, drop) pair.
-    pe = np.zeros((len(plan.esrc), n_clips + 1))
-    pa = np.zeros((n_rows, n_clips + 1))  # d plus / d pool
-    pb = np.zeros((n_rows, n_clips + 1))  # d plus / d stay
-    pp = np.zeros((n_rows, n_clips + 1))  # d cell / d plus
-    pq = np.zeros((n_rows, n_clips + 1))  # d cell / d minus
-
-    for j in range(1, n_clips + 1):
-        prev = dp[:, j - 1]
-        pool, pe_col = _segment_smooth_min(prev[plan.esrc], plan, gamma)
-        core, a_col, b_col = _smooth_min2(pool, prev, gamma)
-        plus = cost_rows[:, j - 1] + core
-        minus = prev + drops[j - 1]
-        cell, p_col, q_col = _smooth_min2(plus, minus, gamma)
-        # The root row accumulates prefix drops with no choice to smooth.
-        cell[s.root] = prev[s.root] + drops[j - 1]
-        p_col[s.root] = 0.0
-        q_col[s.root] = 1.0
-        a_col[s.root] = b_col[s.root] = 0.0
-        dp[:, j] = cell
-        pe[:, j] = pe_col
-        pa[:, j] = a_col
-        pb[:, j] = b_col
-        pp[:, j] = p_col
-        pq[:, j] = q_col
-
-    finals = list(plan.finals)
-    value, w_final = smooth_min_grad(dp[finals, n_clips], gamma)
-
-    grad_padded = np.zeros_like(padded)  # the virtual states' rows are dropped
-    grad_drops = np.zeros(n_clips)
-    adj = np.zeros((n_rows, n_clips + 1))
-    adj[finals, n_clips] = w_final
-
-    for j in range(n_clips, 0, -1):
-        a_j = adj[:, j]
-        if not a_j.any():
-            continue
-        a_plus = a_j * pp[:, j]
-        a_minus = a_j * pq[:, j]
-        np.add.at(grad_padded[:, j - 1], plan.active, a_plus)
-        grad_drops[j - 1] += a_minus.sum()
-        adj[:, j - 1] += a_plus * pb[:, j] + a_minus
-        pool_adj = a_plus * pa[:, j]
-        np.add.at(adj[:, j - 1], plan.esrc, pool_adj[plan.edst] * pe[:, j])
-
-    return LossValue(
-        value=float(value), grad_costs=grad_padded[: c.n_steps], grad_drops=grad_drops
-    )
+    (out,) = soft_graph_drop_dtw_batch(s, [(c, d)], cfg)
+    return out
 
 
 def clustering_loss(
@@ -255,27 +309,29 @@ def _meta_graph(graph: FlowGraph | TSortGraph) -> TSortGraph:
     return build_tsort_forward(normalize(graph))
 
 
-def combined_loss(
-    graph: FlowGraph | TSortGraph,
+def _loss_problem(
+    steps: EmbeddingSequence,
+    clips: EmbeddingSequence,
+    temperature: float,
+    drop_percentile: float,
+) -> tuple[CostMatrix, DropCosts, list[tuple[int, float]]]:
+    """Costs, percentile drop costs and the percentile's (entry, weight) support."""
+    c = compute_cost_matrix(steps, clips, temperature)
+    drop_value, support = _percentile_support(c.values, drop_percentile)
+    return c, DropCosts(np.full(c.n_clips, drop_value)), support
+
+
+def _chain_to_clips(
+    ground: LossValue,
+    c: CostMatrix,
+    support: list[tuple[int, float]],
     steps: EmbeddingSequence,
     clips: EmbeddingSequence,
     cfg: SmoothingConfig,
-    temperature: float = 1.0,
-    drop_percentile: float = 30.0,
-    clust_weight: float = 1.0,
+    temperature: float,
+    clust_weight: float,
 ) -> LossValue:
-    """Soft grounding loss plus the clustering regularizer, end to end.
-
-    Differentiates through the softmax cost construction and through the
-    drop-cost percentile, returning the gradient with respect to the clip
-    embeddings (the trainable side).
-    """
-    ts = _meta_graph(graph)
-    c = compute_cost_matrix(steps, clips, temperature)
-    drop_value, support = _percentile_support(c.values, drop_percentile)
-    d = DropCosts(np.full(c.n_clips, drop_value))
-
-    ground = soft_graph_drop_dtw(ts, c, d, cfg)
+    """Chain a soft grounding's gradients into the clips; add the clustering term."""
     total_dc = ground.grad_costs.copy()
     drop_weight = float(ground.grad_drops.sum())
     flat = total_dc.ravel()
@@ -294,6 +350,27 @@ def combined_loss(
         value += clust_weight * clust.value
         grad_x = grad_x + clust_weight * clust.grad_clips
     return LossValue(value=float(value), grad_clips=grad_x)
+
+
+def combined_loss(
+    graph: FlowGraph | TSortGraph,
+    steps: EmbeddingSequence,
+    clips: EmbeddingSequence,
+    cfg: SmoothingConfig,
+    temperature: float = 1.0,
+    drop_percentile: float = 30.0,
+    clust_weight: float = 1.0,
+) -> LossValue:
+    """Soft grounding loss plus the clustering regularizer, end to end.
+
+    Differentiates through the softmax cost construction and through the
+    drop-cost percentile, returning the gradient with respect to the clip
+    embeddings (the trainable side).
+    """
+    ts = _meta_graph(graph)
+    c, d, support = _loss_problem(steps, clips, temperature, drop_percentile)
+    ground = soft_graph_drop_dtw(ts, c, d, cfg)
+    return _chain_to_clips(ground, c, support, steps, clips, cfg, temperature, clust_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -339,17 +416,33 @@ def train_projection(
     """Plain gradient descent of the combined loss over projected clips.
 
     Dataset entries are (flow graph or its meta-graph, clip embeddings, step
-    embeddings); a flow graph's meta-graph is built once, before the first
-    epoch.
+    embeddings). One meta-graph is built per distinct flow graph, before the
+    first epoch, and each epoch grounds all the entries of one meta-graph in
+    a single batched soft DP; losses and gradients are summed in dataset
+    order, so the result equals one :func:`combined_loss` call per entry.
     Returns the trained model and a trace of (epoch, mean loss, eval value)
     rows, with the loss measured before each step so row 0 is the starting
     loss. Aborts with :class:`TrainingDivergedError` on a non-finite loss.
     """
     if not dataset:
         raise ValidationError("training dataset is empty")
+    if epochs < 1:
+        raise ValidationError(f"epochs must be at least 1, got {epochs}")
+    d_out, d_in = model.weight.shape
+    for i, (_, clips, steps) in enumerate(dataset):
+        if clips.dim != d_in or steps.dim != d_out:
+            raise ValidationError(
+                f"training instance {i} has {clips.dim}-d clips and {steps.dim}-d steps; "
+                f"the model maps {d_in}-d clips to {d_out}-d"
+            )
     weight = model.weight.copy()
     bias = model.bias.copy()
-    tsorts = [_meta_graph(g) for g, _, _ in dataset]
+    metas: dict = {}  # flow graph (by equality) or meta-graph -> meta-graph
+    groups: dict[TSortGraph, list[int]] = {}  # meta-graph -> its dataset indices
+    for i, (g, _, _) in enumerate(dataset):
+        if g not in metas:
+            metas[g] = _meta_graph(g)
+        groups.setdefault(metas[g], []).append(i)
     trace: list[tuple[int, float, float]] = []
 
     for epoch in range(epochs):
@@ -358,19 +451,24 @@ def train_projection(
                 f"non-finite parameters entering epoch {epoch}", trace=trace
             )
         current = ProjectionModel(weight=weight.copy(), bias=bias.copy())
+        projected = [current.apply(clips) for _, clips, _ in dataset]
+        problems = [
+            _loss_problem(steps, x, temperature, drop_percentile)
+            for x, (_, _, steps) in zip(projected, dataset)
+        ]
+        grounds: list[LossValue | None] = [None] * len(dataset)
+        for ts, members in groups.items():
+            batch = soft_graph_drop_dtw_batch(ts, [problems[i][:2] for i in members], cfg)
+            for i, ground in zip(members, batch):
+                grounds[i] = ground
         grad_w = np.zeros_like(weight)
         grad_b = np.zeros_like(bias)
         losses = []
-        for ts, (_, clips, steps) in zip(tsorts, dataset):
-            projected = current.apply(clips)
-            loss = combined_loss(
-                ts,
-                steps,
-                projected,
-                cfg,
-                temperature=temperature,
-                drop_percentile=drop_percentile,
-                clust_weight=clust_weight,
+        for (_, clips, steps), x, (c, _, support), ground in zip(
+            dataset, projected, problems, grounds
+        ):
+            loss = _chain_to_clips(
+                ground, c, support, steps, x, cfg, temperature, clust_weight
             )
             losses.append(loss.value)
             grad_w += loss.grad_clips.T @ clips.vectors

@@ -63,8 +63,9 @@ class DPPlan:
     """A meta-graph laid out for the grounding DPs; every array is read-only.
 
     Edges are sorted by (destination, source), so each destination's incoming
-    edges form one segment: it starts at ``seg_starts``, belongs to
-    ``seg_dst`` and holds ``seg_repeat`` edges. ``finals`` precede the sink.
+    edges form one segment: it starts at ``seg_starts`` and belongs to
+    ``seg_dst``; ``eseg`` maps each edge to its segment. ``finals`` precede
+    the sink.
     """
 
     active: np.ndarray  # (S,) int64
@@ -73,7 +74,7 @@ class DPPlan:
     edst: np.ndarray  # (E,) int64
     seg_starts: np.ndarray
     seg_dst: np.ndarray
-    seg_repeat: np.ndarray
+    eseg: np.ndarray  # (E,) int64
     finals: tuple[int, ...]
 
 
@@ -125,7 +126,7 @@ class TSortGraph:
             edst,
             seg_starts,
             edst[seg_starts],
-            np.diff(np.r_[seg_starts, len(edst)]),
+            np.cumsum(np.r_[False, edst[1:] != edst[:-1]]),
         )
         for arr in arrays:
             arr.flags.writeable = False

@@ -1,8 +1,10 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+import flowground.cli
 from flowground.cli import main
 from flowground.matio import read_matrix, write_matrix_csv
 
@@ -213,6 +215,47 @@ def test_train_rejects_a_malformed_instance_file(capsys, tmp_path, name, text, m
     assert code == 1
     assert name in err and message in err
     assert "Traceback" not in err
+
+
+def test_train_rejects_zero_epochs(capsys, tmp_path):
+    data = tmp_path / "data"
+    code, *_ = run(capsys, "synth", "--spec", "2,1", "--n", 2, "--dim", 4, "--out", data)
+    assert code == 0
+    code, _, err = run(capsys, "train", "--data", data, "--epochs", 0)
+    assert code == 1
+    assert "epochs" in err and "Traceback" not in err
+
+
+def test_train_rejects_mixed_embedding_dimensions(capsys, tmp_path):
+    data, other = tmp_path / "data", tmp_path / "other"
+    for out, n, dim in ((data, 3, 8), (other, 1, 4)):
+        code, *_ = run(capsys, "synth", "--spec", "2,1", "--n", n, "--dim", dim, "--out", out)
+        assert code == 0
+    shutil.rmtree(data / "instance_001")
+    (other / "instance_000").rename(data / "instance_001")
+    code, _, err = run(capsys, "train", "--data", data, "--epochs", 1)
+    assert code == 1
+    assert "instance 1" in err and "4-d" in err
+
+
+def test_train_builds_one_meta_graph_per_procedure(capsys, tmp_path, monkeypatch):
+    data, other = tmp_path / "data", tmp_path / "other"
+    for out, spec, seed in ((data, "2,1", 1), (other, "1,1,1", 2)):
+        code, *_ = run(
+            capsys, "synth", "--spec", spec, "--n", 3, "--dim", 4, "--seed", seed,
+            "--out", out,
+        )
+        assert code == 0
+    for i in range(3):
+        (other / f"instance_{i:03d}").rename(data / f"instance_{i + 3:03d}")
+    built = []
+    real = flowground.cli.build_tsort_forward
+    monkeypatch.setattr(
+        flowground.cli, "build_tsort_forward", lambda g: built.append(g) or real(g)
+    )
+    code, *_ = run(capsys, "train", "--data", data, "--epochs", 1)
+    assert code == 0
+    assert len(built) == 2
 
 
 def test_determinism_byte_identical(capsys, fig_graph, tmp_path):

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import flowground.soft
 from flowground import (
     CostMatrix,
     DropCosts,
@@ -21,9 +25,10 @@ from flowground import (
     smooth_min,
     smooth_min_grad,
     soft_graph_drop_dtw,
+    soft_graph_drop_dtw_batch,
     train_projection,
 )
-from util import random_costs, random_dag_bounded
+from util import EDGE_PROBS, random_costs, random_dag, random_dag_bounded
 
 
 def rel_err(a, b, floor=1e-6):
@@ -214,6 +219,59 @@ def test_dps_agree_on_forward_and_backward_meta_graphs():
         assert np.max(np.abs(sa.grad_drops - sb.grad_drops)) <= 1e-9
 
 
+def _bits(lv):
+    return lv.value, lv.grad_costs.tobytes(), lv.grad_costs.shape, lv.grad_drops.tobytes()
+
+
+@pytest.mark.parametrize("budget", [0, 2**62], ids=["recomputed", "stored"])
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_steps=st.integers(1, 6),
+    edge_prob=st.sampled_from(EDGE_PROBS),
+    build=st.sampled_from([build_tsort_forward, build_tsort_backward]),
+    gamma=st.sampled_from([0.01, 0.1, 1.0]),
+    n_problems=st.integers(1, 5),
+)
+def test_batched_soft_dp_equals_single(
+    budget, seed, n_steps, edge_prob, build, gamma, n_problems
+):
+    # Problems of mixed lengths share one padded DP; each result must keep
+    # the bits of grounding that problem alone, whether the reverse sweep
+    # reads stored partials or recomputes them.
+    rng = np.random.default_rng(seed)
+    s = build(random_dag(rng, n_steps, edge_prob))
+    cfg = SmoothingConfig(gamma)
+    problems = [
+        random_costs(rng, n_steps, int(rng.integers(n_steps, n_steps + 12)))
+        for _ in range(n_problems)
+    ]
+    single = [soft_graph_drop_dtw(s, c, d, cfg) for c, d in problems]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flowground.soft, "_PARTIALS_BUDGET", budget)
+        batched = soft_graph_drop_dtw_batch(s, problems, cfg)
+    assert [_bits(b) for b in batched] == [_bits(a) for a in single]
+
+
+def test_soft_dp_memory_is_the_value_table():
+    # 8 B per state and clip column: here the partials exceed their budget,
+    # so the reverse sweep recomputes them from the value table.
+    g = model_problem(ThreadSpec((4, 4, 4, 4)))
+    s = build_tsort_forward(g)
+    s.plan  # compiled once per meta-graph, outside the per-call peak
+    rng = np.random.default_rng(3)
+    n_clips = 400
+    c, d = random_costs(rng, g.n_steps, n_clips)
+    tracemalloc.start()
+    try:
+        soft_graph_drop_dtw(s, c, d, SmoothingConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(s.nodes) == 2002
+    assert peak <= 12 * len(s.nodes) * (n_clips + 1)
+
+
 # -- clustering -------------------------------------------------------------------
 
 
@@ -364,6 +422,20 @@ def test_training_divergence_detection():
             dataset, ProjectionModel.identity(4), SmoothingConfig(0.3), lr=1e308, epochs=5
         )
     assert excinfo.value.trace  # partial loss trace attached for the report
+
+
+def test_training_builds_one_meta_graph_per_distinct_flow_graph(monkeypatch):
+    built = []
+    real = flowground.soft.build_tsort_forward
+    monkeypatch.setattr(
+        flowground.soft, "build_tsort_forward", lambda g: built.append(g) or real(g)
+    )
+    dataset = _toy_dataset(n=3) + _toy_dataset(n=2, seed=9)
+    # equal graphs built separately still share one meta-graph
+    dataset = [(model_problem(ThreadSpec((1, 1))), x, v) for _, x, v in dataset]
+    dataset.append((model_problem(ThreadSpec((2,))), *dataset[0][1:]))
+    train_projection(dataset, ProjectionModel.identity(4), SmoothingConfig(0.3), 0.01, 1)
+    assert len(built) == 2
 
 
 def test_projection_model_validation():
