@@ -45,7 +45,7 @@ from .graph import (
 )
 from .matio import read_matrix
 from .metrics import framewise_accuracy, iou
-from .soft import ProjectionModel, SmoothingConfig, train_projection
+from .soft import ProjectionModel, SmoothingConfig, _meta_graphs, train_projection
 from .synth import SynthParams, generate, load_dataset, save_instance
 from .tsort import build_tsort_backward, build_tsort_forward
 
@@ -389,13 +389,7 @@ def train(
 ):
     """Fit the clip projection on a synthetic dataset with the combined loss."""
     loaded = load_dataset(data_dir)
-    built: dict = {}  # one meta-graph per distinct normalized flow graph
-    metas = []
-    for g, *_ in loaded:
-        key = normalize(g)
-        if key not in built:
-            built[key] = build_tsort_forward(key)
-        metas.append(built[key])
+    metas = _meta_graphs([g for g, *_ in loaded])
     dataset = [(s, clips, steps) for s, (_, steps, clips, _, _) in zip(metas, loaded)]
     dim = dataset[0][1].dim
     cfg = SmoothingConfig(gamma=gamma)

@@ -12,11 +12,10 @@ converges to the hard one.
 Every smooth-min keeps the nesting of the hard recursion (inner minimum over
 meta-predecessors, then against staying, then match against drop), and the
 gradients with respect to the match costs and drop costs come out of one
-reverse sweep over the DP table. The forward keeps the value table, 8 B per
-meta-state and clip, and keeps each column's smooth-min partials only while
-all of them fit in ``_PARTIALS_BUDGET`` bytes; otherwise the reverse sweep
-recomputes a column's partials from the previous value column, with the
-forward's own arithmetic, so both ways give the same bits.
+reverse sweep over the DP table. The forward keeps only the value table, 8 B
+per meta-state and clip; the reverse sweep recomputes each column's
+smooth-min partials from the previous value column, with the forward's own
+arithmetic, so they hold the forward's bits.
 
 One DP grounds a batch of problems that share a meta-graph
 (:func:`soft_graph_drop_dtw_batch`); training batches all the instances of
@@ -34,7 +33,7 @@ from .align import (
     CostMatrix,
     DropCosts,
     EmbeddingSequence,
-    _check_problem,
+    _bind_costs,
     compute_cost_matrix,
 )
 from .errors import TrainingDivergedError, ValidationError
@@ -88,11 +87,6 @@ def smooth_min_grad(
     with np.errstate(invalid="ignore"):  # masked lanes may hold inf - inf
         grads = np.where(w > 0, w * (1.0 - (v - m) / gamma), 0.0)
     return m, grads
-
-
-# Stored partials that would take more bytes than this are recomputed from
-# ``dp`` in the reverse sweep instead.
-_PARTIALS_BUDGET = 4 * 2**20
 
 
 def _smooth_min2(x: np.ndarray, y: np.ndarray, gamma: float, partials: bool):
@@ -175,23 +169,18 @@ def soft_graph_drop_dtw_batch(
     n_steps, n_ids = s.origin.n_steps, s.origin.n_nodes
     lengths = [len(d) for _, d in problems]
     n_batch, n_max = len(problems), max(lengths)
-    n_rows, n_edges = len(plan.active), len(plan.esrc)
-    # Clip-major costs with one column per node id: the virtual root's and
-    # sink's stay +inf, as do the padded clips'.
+    n_rows = len(plan.active)
+    # Clip-major costs with one column per node id; the padded clips' stay +inf.
     costs = np.full((n_max, n_batch, n_ids), np.inf)
     drops = np.zeros((n_max, n_batch))
     for b, (c, d) in enumerate(problems):
-        _check_problem(n_steps, c, d)
-        costs[: len(d), b, :n_steps] = c.values.T
+        costs[: len(d), b] = _bind_costs(s, c, d).T
         drops[: len(d), b] = d.values
 
-    # dp[j] is the (B, S) column after j clips; it is all the forward keeps
-    # unless every column's partials fit in the budget.
+    # dp[j] is the (B, S) column after j clips, and all the forward keeps.
     dp = np.empty((n_max + 1, n_batch, n_rows))
     dp[0] = np.inf
     dp[0, :, root] = 0.0
-    keep = 8 * n_batch * (n_edges + 4 * n_rows) * n_max <= _PARTIALS_BUDGET
-    kept = []
 
     def column(j: int, partials: bool):
         match = costs[j].take(plan.active, axis=1)
@@ -199,9 +188,7 @@ def soft_graph_drop_dtw_batch(
 
     with np.errstate(invalid="ignore"):  # masked lanes may hold inf - inf
         for j in range(n_max):
-            dp[j + 1], partials = column(j, keep)
-            if keep:
-                kept.append(partials)
+            dp[j + 1], _ = column(j, False)
 
         finals = list(plan.finals)
         seeds = [smooth_min_grad(dp[n, b, finals], gamma) for b, n in enumerate(lengths)]
@@ -217,7 +204,7 @@ def soft_graph_drop_dtw_batch(
             for b, n in enumerate(lengths):
                 if n == j:  # the problem's adjoints past its own end are all 0.0
                     adj[b, finals] = seeds[b][1]
-            pe, pa, pb, pp, pq = kept[j - 1] if keep else column(j - 1, True)[1]
+            pe, pa, pb, pp, pq = column(j - 1, True)[1]
             a_plus = adj * pp
             a_minus = adj * pq
             grad[j - 1] = np.bincount(cost_bins, a_plus.ravel(), n_batch * n_ids).reshape(
@@ -307,6 +294,17 @@ def _meta_graph(graph: FlowGraph | TSortGraph) -> TSortGraph:
     if isinstance(graph, TSortGraph):
         return graph
     return build_tsort_forward(normalize(graph))
+
+
+def _meta_graphs(
+    graphs: Sequence[FlowGraph | TSortGraph],
+) -> list[TSortGraph]:
+    """Each entry's meta-graph, built once per distinct (equal) flow graph."""
+    built: dict = {}
+    for g in graphs:
+        if g not in built:
+            built[g] = _meta_graph(g)
+    return [built[g] for g in graphs]
 
 
 def _loss_problem(
@@ -437,12 +435,9 @@ def train_projection(
             )
     weight = model.weight.copy()
     bias = model.bias.copy()
-    metas: dict = {}  # flow graph (by equality) or meta-graph -> meta-graph
     groups: dict[TSortGraph, list[int]] = {}  # meta-graph -> its dataset indices
-    for i, (g, _, _) in enumerate(dataset):
-        if g not in metas:
-            metas[g] = _meta_graph(g)
-        groups.setdefault(metas[g], []).append(i)
+    for i, ts in enumerate(_meta_graphs([g for g, _, _ in dataset])):
+        groups.setdefault(ts, []).append(i)
     trace: list[tuple[int, float, float]] = []
 
     for epoch in range(epochs):

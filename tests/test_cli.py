@@ -4,7 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
-import flowground.cli
+import flowground.soft
 from flowground.cli import main
 from flowground.matio import read_matrix, write_matrix_csv
 
@@ -249,9 +249,9 @@ def test_train_builds_one_meta_graph_per_procedure(capsys, tmp_path, monkeypatch
     for i in range(3):
         (other / f"instance_{i:03d}").rename(data / f"instance_{i + 3:03d}")
     built = []
-    real = flowground.cli.build_tsort_forward
+    real = flowground.soft.build_tsort_forward
     monkeypatch.setattr(
-        flowground.cli, "build_tsort_forward", lambda g: built.append(g) or real(g)
+        flowground.soft, "build_tsort_forward", lambda g: built.append(g) or real(g)
     )
     code, *_ = run(capsys, "train", "--data", data, "--epochs", 1)
     assert code == 0

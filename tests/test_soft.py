@@ -223,7 +223,14 @@ def _bits(lv):
     return lv.value, lv.grad_costs.tobytes(), lv.grad_costs.shape, lv.grad_drops.tobytes()
 
 
-@pytest.mark.parametrize("budget", [0, 2**62], ids=["recomputed", "stored"])
+def _assert_batch_equals_single(s, problems, cfg):
+    # Problems of mixed lengths share one padded DP; each result must keep
+    # the bits of grounding that problem alone.
+    single = [soft_graph_drop_dtw(s, c, d, cfg) for c, d in problems]
+    batched = soft_graph_drop_dtw_batch(s, problems, cfg)
+    assert [_bits(b) for b in batched] == [_bits(a) for a in single]
+
+
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -233,29 +240,31 @@ def _bits(lv):
     gamma=st.sampled_from([0.01, 0.1, 1.0]),
     n_problems=st.integers(1, 5),
 )
-def test_batched_soft_dp_equals_single(
-    budget, seed, n_steps, edge_prob, build, gamma, n_problems
-):
-    # Problems of mixed lengths share one padded DP; each result must keep
-    # the bits of grounding that problem alone, whether the reverse sweep
-    # reads stored partials or recomputes them.
+def test_batched_soft_dp_equals_single(seed, n_steps, edge_prob, build, gamma, n_problems):
     rng = np.random.default_rng(seed)
     s = build(random_dag(rng, n_steps, edge_prob))
-    cfg = SmoothingConfig(gamma)
     problems = [
         random_costs(rng, n_steps, int(rng.integers(n_steps, n_steps + 12)))
         for _ in range(n_problems)
     ]
-    single = [soft_graph_drop_dtw(s, c, d, cfg) for c, d in problems]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flowground.soft, "_PARTIALS_BUDGET", budget)
-        batched = soft_graph_drop_dtw_batch(s, problems, cfg)
-    assert [_bits(b) for b in batched] == [_bits(a) for a in single]
+    _assert_batch_equals_single(s, problems, SmoothingConfig(gamma))
+
+
+@pytest.mark.parametrize("build", [build_tsort_forward, build_tsort_backward])
+@pytest.mark.parametrize("n_steps,edge_prob", [(9, 0.0), (10, 0.05), (11, 0.0)])
+def test_batched_soft_dp_equals_single_at_high_in_degree(n_steps, edge_prob, build):
+    # Near-edgeless DAGs give meta-states 8 or more incoming edges, where
+    # numpy's segment sums switch to their unrolled loop.
+    rng = np.random.default_rng(n_steps)
+    s = build(random_dag(rng, n_steps, edge_prob))
+    assert max(np.diff(np.r_[s.plan.seg_starts, len(s.plan.esrc)])) >= 8
+    problems = [random_costs(rng, n_steps, n_steps + k) for k in (0, 5, 2)]
+    _assert_batch_equals_single(s, problems, SmoothingConfig(0.1))
 
 
 def test_soft_dp_memory_is_the_value_table():
-    # 8 B per state and clip column: here the partials exceed their budget,
-    # so the reverse sweep recomputes them from the value table.
+    # 8 B per state and clip column: the reverse sweep recomputes each
+    # column's partials from the value table instead of storing them.
     g = model_problem(ThreadSpec((4, 4, 4, 4)))
     s = build_tsort_forward(g)
     s.plan  # compiled once per meta-graph, outside the per-call peak
