@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import flowground.soft
 from flowground import (
@@ -223,14 +223,11 @@ def _bits(lv):
     return lv.value, lv.grad_costs.tobytes(), lv.grad_costs.shape, lv.grad_drops.tobytes()
 
 
-def _assert_batch_equals_single(s, problems, cfg):
-    # Problems of mixed lengths share one padded DP; each result must keep
-    # the bits of grounding that problem alone.
-    single = [soft_graph_drop_dtw(s, c, d, cfg) for c, d in problems]
-    batched = soft_graph_drop_dtw_batch(s, problems, cfg)
-    assert [_bits(b) for b in batched] == [_bits(a) for a in single]
-
-
+# Near-edgeless 9-11-step DAGs give meta-states 8 or more incoming edges,
+# where numpy's segment sums switch to their unrolled loop.
+@example(seed=9, n_steps=9, edge_prob=0.0, build=build_tsort_forward, gamma=0.1, n_problems=3)
+@example(seed=10, n_steps=10, edge_prob=0.05, build=build_tsort_backward, gamma=1.0, n_problems=4)
+@example(seed=11, n_steps=11, edge_prob=0.0, build=build_tsort_backward, gamma=0.01, n_problems=2)
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -241,25 +238,18 @@ def _assert_batch_equals_single(s, problems, cfg):
     n_problems=st.integers(1, 5),
 )
 def test_batched_soft_dp_equals_single(seed, n_steps, edge_prob, build, gamma, n_problems):
+    # Problems of mixed lengths share one padded DP; each result must keep
+    # the bits of grounding that problem alone.
     rng = np.random.default_rng(seed)
     s = build(random_dag(rng, n_steps, edge_prob))
+    cfg = SmoothingConfig(gamma)
     problems = [
         random_costs(rng, n_steps, int(rng.integers(n_steps, n_steps + 12)))
         for _ in range(n_problems)
     ]
-    _assert_batch_equals_single(s, problems, SmoothingConfig(gamma))
-
-
-@pytest.mark.parametrize("build", [build_tsort_forward, build_tsort_backward])
-@pytest.mark.parametrize("n_steps,edge_prob", [(9, 0.0), (10, 0.05), (11, 0.0)])
-def test_batched_soft_dp_equals_single_at_high_in_degree(n_steps, edge_prob, build):
-    # Near-edgeless DAGs give meta-states 8 or more incoming edges, where
-    # numpy's segment sums switch to their unrolled loop.
-    rng = np.random.default_rng(n_steps)
-    s = build(random_dag(rng, n_steps, edge_prob))
-    assert max(np.diff(np.r_[s.plan.seg_starts, len(s.plan.esrc)])) >= 8
-    problems = [random_costs(rng, n_steps, n_steps + k) for k in (0, 5, 2)]
-    _assert_batch_equals_single(s, problems, SmoothingConfig(0.1))
+    single = [soft_graph_drop_dtw(s, c, d, cfg) for c, d in problems]
+    batched = soft_graph_drop_dtw_batch(s, problems, cfg)
+    assert [_bits(b) for b in batched] == [_bits(a) for a in single]
 
 
 def test_soft_dp_memory_is_the_value_table():
