@@ -16,6 +16,7 @@ from .align import (
     compute_drop_costs,
     drop_dtw,
     graph_drop_dtw,
+    graph_drop_dtw_batch,
 )
 from .brute import BenchReport, bench_compare, brute_force_ground
 from .errors import (
@@ -102,6 +103,7 @@ __all__ = [
     "framewise_accuracy",
     "generate",
     "graph_drop_dtw",
+    "graph_drop_dtw_batch",
     "iou",
     "isomorphic",
     "model_problem",

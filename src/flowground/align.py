@@ -10,8 +10,11 @@ All DP arithmetic is 64-bit floating point. Both DPs advance one clip per
 column, so each column depends only on the previous one; columns are
 processed with vectorized numpy operations.
 
-``graph_drop_dtw`` keeps values only: one clip-major float64 table, 8 bytes
-per meta-state per clip, whose column ``dp[j]`` is contiguous. The forward
+``graph_drop_dtw_batch`` grounds B problems on one meta-graph as one DP over
+B disjoint copies of it on a single flat state axis (``_bind_batch``, which
+the soft DP shares); ``graph_drop_dtw`` is the batch of one. It keeps values
+only: one clip-major float64 table, 8 bytes per state of each copy per clip,
+whose column ``dp[j]`` is contiguous. The forward
 pass takes plain minima. The traceback recomputes each decision on the path
 from column ``j - 1``: it evaluates the same sums with the same operands, so
 it sees the values the forward compared. The tie rules therefore live in
@@ -25,7 +28,7 @@ the current step beats transitioning, and the lowest predecessor index wins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -215,15 +218,113 @@ def _check_problem(n_steps: int, c: CostMatrix, d: DropCosts) -> None:
         )
 
 
-def _bind_costs(s: TSortGraph, c: CostMatrix, d: DropCosts) -> np.ndarray:
-    """Check a grounding problem; return its costs with one row per node id.
+def _bind_batch(s: TSortGraph, problems: Sequence[tuple[CostMatrix, DropCosts]]):
+    """Check a batch of grounding problems and lay it out as one DP.
 
-    The (K+2, N) result holds the steps' rows of ``c`` and then two +inf rows
-    for the virtual root and sink, which take the highest ids and match no
-    clip, so ``plan.active`` indexes it directly.
+    Problem b runs on copy b of the meta-graph: states b*S .. b*S+S-1 of one
+    flat state axis, S being the number of meta-states. Returns the
+    clip-major (N_max, B*(K+2)) costs, one column per copy and node id; the
+    (N_max, B, 1) drops; the clip counts; and the plan offset per copy
+    (``finals`` and ``virtual`` stay per copy). The virtual root and sink
+    take the highest ids and match no clip, so their columns are +inf. A
+    shorter problem is padded at the tail with +inf match and zero drop
+    costs, which leaves its values unchanged.
     """
-    _check_problem(s.origin.n_steps, c, d)
-    return np.vstack([c.values, np.full((2, len(d)), np.inf)])
+    plan, n_ids = s.plan, s.origin.n_nodes
+    lengths = [len(d) for _, d in problems]
+    n_batch, n_max = len(problems), max(lengths)
+    costs = np.full((n_max, n_batch, n_ids), np.inf)
+    drops = np.zeros((n_max, n_batch, 1))
+    for b, (c, d) in enumerate(problems):
+        _check_problem(s.origin.n_steps, c, d)
+        costs[: len(d), b, : c.n_steps] = c.values.T
+        drops[: len(d), b, 0] = d.values
+
+    # copy b shifts each index array by b times the per-copy count of what it indexes
+    n_rows, n_edges = len(plan.active), len(plan.esrc)
+    counts = dict(active=n_ids, esrc=n_rows, edst=n_rows, seg_dst=n_rows,
+                  seg_starts=n_edges, eseg=len(plan.seg_starts))
+    copies = np.arange(n_batch)[:, None]
+    tiled = {k: (copies * n + getattr(plan, k)).ravel() for k, n in counts.items()}
+    return costs.reshape(n_max, -1), drops, lengths, replace(plan, **tiled)
+
+
+def graph_drop_dtw_batch(
+    s: TSortGraph, problems: Sequence[tuple[CostMatrix, DropCosts]]
+) -> list[Alignment]:
+    """Ground several (costs, drops) problems on one meta-graph in one DP.
+
+    Each problem is traced back in its own copy of the meta-graph, up to its
+    own clip count, so every result equals :func:`graph_drop_dtw` on that
+    problem alone, bit for bit.
+    """
+    if not problems:
+        return []
+    costs, drops, lengths, plan = _bind_batch(s, problems)
+    n_batch, n_rows, n_ids = len(problems), len(s.plan.active), s.origin.n_nodes
+    n_max, width = len(costs), len(plan.active)
+
+    # dp[j] is the flat column after j clips. Its values are finite or +inf
+    # and never -0.0, so np.minimum gives the bits the traceback's ``<=``
+    # choices give. The root has no in-edges and a +inf cost column, so its
+    # row accumulates prefix drops with no special case.
+    dp = np.empty((n_max + 1, width))
+    dp[0] = np.inf
+    dp[0, s.root :: n_rows] = 0.0
+    by_copy = dp.reshape(n_max + 1, n_batch, n_rows)
+    pred_min = np.full(width, np.inf)  # +inf stays where no edge comes in
+    match, d_plus, d_minus = np.empty((3, width))
+    d_minus_by_copy = d_minus.reshape(n_batch, n_rows)
+    for j in range(n_max):
+        prev = dp[j]
+        pred_min[plan.seg_dst] = np.minimum.reduceat(prev[plan.esrc], plan.seg_starts)
+        np.minimum(prev, pred_min, out=match)
+        # "clip" (no index is out of range) keeps ``out`` unbuffered
+        costs[j].take(plan.active, out=d_plus, mode="clip")
+        d_plus += match
+        np.add(by_copy[j], drops[j], out=d_minus_by_copy)
+        np.minimum(d_plus, d_minus, out=dp[j + 1])
+
+    return [
+        _traceback(s, by_copy[: n + 1, b], costs[:n, b * n_ids :], drops[:n, b, 0])
+        for b, n in enumerate(lengths)
+    ]
+
+
+def _traceback(s: TSortGraph, dp: np.ndarray, costs: np.ndarray, drops: np.ndarray):
+    """One problem's alignment from its (N+1, S) values and its costs' columns.
+
+    Each step recomputes cell (i, j)'s decision from dp[j - 1] with the
+    forward's sums and the tie rules of the module docstring.
+    """
+    active, finals, preds = s.plan.active, s.plan.finals, s.predecessors
+    n_clips = len(drops)
+    end_vals = dp[n_clips, list(finals)]
+    best = int(np.argmin(end_vals))  # argmin takes the first occurrence: lowest index
+    cost = float(end_vals[best])
+    if not np.isfinite(cost):
+        raise InfeasibleError("no feasible alignment found")  # pragma: no cover
+
+    labels = [DROP] * n_clips
+    i = finals[best]
+    state_path = [i]
+    for j in range(n_clips, 0, -1):
+        if i == s.root:
+            break  # the root row holds prefix drops only
+        prev = dp[j - 1]
+        stay = prev[i]
+        pred_vals = [prev[p] for p in preds[i]]
+        best_in = min(pred_vals, default=np.inf)
+        stays = stay <= best_in
+        d_plus = costs[j - 1, active[i]] + (stay if stays else best_in)
+        if d_plus <= stay + drops[j - 1]:
+            labels[j - 1] = int(active[i])
+            if not stays:
+                i = preds[i][pred_vals.index(best_in)]
+                state_path.append(i)
+
+    tau_star = tuple(int(active[k]) for k in reversed(state_path) if not s.plan.virtual[k])
+    return _assemble(cost, labels, tau_star)
 
 
 def graph_drop_dtw(s: TSortGraph, c: CostMatrix, d: DropCosts) -> Alignment:
@@ -234,69 +335,10 @@ def graph_drop_dtw(s: TSortGraph, c: CostMatrix, d: DropCosts) -> Alignment:
     from any meta-predecessor) or dropping the clip. The answer is read off
     the meta-sink's predecessors after the last clip, and the traceback
     recovers the segmentation, the dropped clips, and the realised sort.
+    This is :func:`graph_drop_dtw_batch` on a batch of one.
     """
-    plan = s.plan
-    # (N, K+2): row j holds clip j's cost for every node id
-    clip_costs = np.ascontiguousarray(_bind_costs(s, c, d).T)
-    # take() copies read-only indices on every call, so gather with a
-    # writable copy; "clip" (no index is out of range) keeps ``out`` unbuffered
-    active = plan.active.copy()
-    n_rows, n_clips = len(active), len(d)
-    drops = d.values
-    root = s.root
-
-    # dp[j] is the (S,) column after j clips. Its values are finite or +inf
-    # and never -0.0, so np.minimum gives the bits the traceback's ``<=``
-    # choices give.
-    dp = np.empty((n_clips + 1, n_rows))
-    dp[0] = np.inf
-    dp[0, root] = 0.0
-    pred_min = np.full(n_rows, np.inf)  # +inf stays where no edge comes in
-    match = np.empty(n_rows)
-    d_plus = np.empty(n_rows)
-    d_minus = np.empty(n_rows)
-    for j in range(n_clips):
-        prev = dp[j]
-        pred_min[plan.seg_dst] = np.minimum.reduceat(prev[plan.esrc], plan.seg_starts)
-        np.minimum(prev, pred_min, out=match)
-        clip_costs[j].take(active, out=d_plus, mode="clip")
-        d_plus += match
-        np.add(prev, drops[j], out=d_minus)
-        np.minimum(d_plus, d_minus, out=dp[j + 1])
-        dp[j + 1, root] = d_minus[root]
-
-    finals = plan.finals
-    end_vals = dp[n_clips, list(finals)]
-    best = int(np.argmin(end_vals))  # argmin takes the first occurrence: lowest index
-    cost = float(end_vals[best])
-    if not np.isfinite(cost):
-        raise InfeasibleError("no feasible alignment found")  # pragma: no cover
-
-    # Each step recomputes cell (i, j)'s decision from dp[j - 1] with the
-    # forward's sums and the tie rules of the module docstring.
-    preds = s.predecessors
-    labels = [DROP] * n_clips
-    i = finals[best]
-    state_path = [i]
-    for j in range(n_clips, 0, -1):
-        if i == root:
-            break  # the root row holds prefix drops only
-        prev = dp[j - 1]
-        stay = prev[i]
-        pred_vals = [prev[p] for p in preds[i]]
-        best_in = min(pred_vals, default=np.inf)
-        stays = stay <= best_in
-        d_plus = clip_costs[j - 1, active[i]] + (stay if stays else best_in)
-        if d_plus <= stay + drops[j - 1]:
-            labels[j - 1] = int(active[i])
-            if not stays:
-                i = preds[i][pred_vals.index(best_in)]
-                state_path.append(i)
-
-    tau_star = tuple(
-        int(active[k]) for k in reversed(state_path) if not plan.virtual[k]
-    )
-    return _assemble(cost, labels, tau_star)
+    (out,) = graph_drop_dtw_batch(s, [(c, d)])
+    return out
 
 
 def drop_dtw(

@@ -9,7 +9,8 @@ and shares no machinery with the meta-graph path.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from statistics import median
 
 from .align import (
     Alignment,
@@ -56,22 +57,7 @@ class BenchReport:
     rho_predicted: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_sorts": self.n_sorts,
-            "n_tsort_nodes": self.n_tsort_nodes,
-            "t_brute_ms": self.t_brute_ms,
-            "t_graph_ms": self.t_graph_ms,
-            "speedup": self.speedup,
-            "rho_predicted": self.rho_predicted,
-        }
-
-
-def _median(xs: list[float]) -> float:
-    s = sorted(xs)
-    mid = len(s) // 2
-    if len(s) % 2:
-        return s[mid]
-    return 0.5 * (s[mid - 1] + s[mid])
+        return asdict(self)
 
 
 def bench_compare(
@@ -121,8 +107,7 @@ def bench_compare(
         run_graph()
         t_graph.append((time.perf_counter() - start) * 1e3)
 
-    med_brute = _median(t_brute)
-    med_graph = _median(t_graph)
+    med_brute, med_graph = median(t_brute), median(t_graph)
     return BenchReport(
         n_sorts=n_sorts,
         n_tsort_nodes=tsort.num_nodes(),

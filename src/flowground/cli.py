@@ -23,6 +23,7 @@ from .align import (
     compute_cost_matrix,
     compute_drop_costs,
     graph_drop_dtw,
+    graph_drop_dtw_batch,
 )
 from .brute import bench_compare
 from .errors import (
@@ -45,7 +46,8 @@ from .graph import (
 )
 from .matio import read_matrix
 from .metrics import framewise_accuracy, iou
-from .soft import ProjectionModel, SmoothingConfig, _meta_graphs, train_projection
+from .soft import ProjectionModel, SmoothingConfig, train_projection
+from .soft import _meta_graphs, _per_meta_graph
 from .synth import SynthParams, generate, load_dataset, save_instance
 from .tsort import build_tsort_backward, build_tsort_forward
 
@@ -395,12 +397,13 @@ def train(
     cfg = SmoothingConfig(gamma=gamma)
 
     def mean_accuracy(m: ProjectionModel) -> float:
-        scores = []
-        for s, (_, steps, clips, labels, _) in zip(metas, loaded):
+        problems, truth = [], []
+        for _, steps, clips, labels, _ in loaded:
             c = compute_cost_matrix(steps, m.apply(clips), temperature)
-            d = compute_drop_costs(c, drop_percentile)
-            a = graph_drop_dtw(s, c, d)
-            scores.append(framewise_accuracy(a.labels, labels))
+            problems.append((c, compute_drop_costs(c, drop_percentile)))
+            truth.append(labels)
+        aligned = _per_meta_graph(graph_drop_dtw_batch, metas, problems)
+        scores = [framewise_accuracy(a.labels, t) for a, t in zip(aligned, truth)]
         return float(np.mean(scores))
 
     model, trace = train_projection(

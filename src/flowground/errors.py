@@ -20,7 +20,7 @@ class InfeasibleError(FlowGroundError):
 
 
 class CapExceededError(FlowGroundError):
-    """A configured size cap or guard was exceeded (enumeration, meta-graph, bitmask width)."""
+    """A configured size cap was exceeded (sorts, meta-graph states or paths)."""
 
 
 class TrainingDivergedError(FlowGroundError):

@@ -27,10 +27,6 @@ from .errors import CapExceededError, ValidationError
 
 DEFAULT_SORT_CAP = 10**6
 
-# Bitmask node sets back the meta-graph construction; wider graphs are refused
-# there (enumeration-only paths have no such limit).
-BITMASK_WIDTH = 64
-
 
 @dataclass(frozen=True)
 class StepNode:

@@ -18,8 +18,9 @@ smooth-min partials from the previous value column, with the forward's own
 arithmetic, so they hold the forward's bits.
 
 One DP grounds a batch of problems that share a meta-graph
-(:func:`soft_graph_drop_dtw_batch`); training batches all the instances of
-each meta-graph this way.
+(:func:`soft_graph_drop_dtw_batch`), on the hard DP's layout: disjoint copies
+of the meta-graph on one flat state axis. Training batches all the instances
+of each meta-graph this way.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .align import (
     CostMatrix,
     DropCosts,
     EmbeddingSequence,
-    _bind_costs,
+    _bind_batch,
     compute_cost_matrix,
 )
 from .errors import TrainingDivergedError, ValidationError
@@ -113,40 +114,38 @@ def _smooth_min2(x: np.ndarray, y: np.ndarray, gamma: float, partials: bool):
 
 
 def _segment_smooth_min(vals: np.ndarray, plan: DPPlan, gamma: float, partials: bool):
-    """Smooth minimum over each row's incoming edge values, per destination."""
-    low = np.minimum.reduceat(vals, plan.seg_starts, axis=1)
+    """Smooth minimum over each state's incoming edge values, per destination."""
+    low = np.minimum.reduceat(vals, plan.seg_starts)
     # +inf edges stay +inf, also where the whole segment is +inf
-    shifted = vals - np.where(np.isfinite(low), low, 0.0).take(plan.eseg, axis=1)
+    shifted = vals - np.where(np.isfinite(low), low, 0.0).take(plan.eseg)
     w = shifted / -gamma
     np.exp(w, out=w)
-    z = np.add.reduceat(w, plan.seg_starts, axis=1)  # >= 1 (the minimum's term is 1) or 0
-    w /= np.maximum(z, 1.0).take(plan.eseg, axis=1)
-    m_seg = low + np.add.reduceat(np.fmax(w * shifted, 0.0), plan.seg_starts, axis=1)
+    z = np.add.reduceat(w, plan.seg_starts)  # >= 1 (the minimum's term is 1) or 0
+    w /= np.maximum(z, 1.0).take(plan.eseg)
+    m_seg = low + np.add.reduceat(np.fmax(w * shifted, 0.0), plan.seg_starts)
     if not partials:
         return m_seg, None
-    m_edge = m_seg.take(plan.eseg, axis=1)
+    m_edge = m_seg.take(plan.eseg)
     return m_seg, np.where(w > 0, w * (1.0 - (vals - m_edge) / gamma), 0.0)
 
 
-def _soft_column(prev, match, drop, plan: DPPlan, root: int, gamma: float, partials: bool):
-    """One clip column of the soft DP for a (B, S) batch, and its partials if asked.
+def _soft_column(prev, match, drop, plan: DPPlan, gamma: float, partials: bool):
+    """One clip column of the batched soft DP, and its partials if asked.
 
-    ``match`` is overwritten. The partials are d pool / d edge value,
-    d core / d pool, d core / d stay, d cell / d plus and d cell / d minus.
+    ``drop`` holds one (B, 1) drop cost per copy; ``match`` is overwritten.
+    The partials are d pool / d edge value, d core / d pool, d core / d stay,
+    d cell / d plus and d cell / d minus. The root has no in-edges and a +inf
+    cost column, so its cell smooths to its drop term with no special case.
     """
-    m_seg, pe = _segment_smooth_min(prev.take(plan.esrc, axis=1), plan, gamma, partials)
+    m_seg, pe = _segment_smooth_min(prev.take(plan.esrc), plan, gamma, partials)
     pool = np.full_like(prev, np.inf)  # +inf stays where no edge comes in
-    pool[:, plan.seg_dst] = m_seg
+    pool[plan.seg_dst] = m_seg
     core, pa, pb = _smooth_min2(pool, prev, gamma, partials)
-    minus = prev + drop[:, None]
+    minus = (prev.reshape(len(drop), -1) + drop).ravel()
     match += core
     cell, pp, pq = _smooth_min2(match, minus, gamma, partials)
-    # The root row accumulates prefix drops with no choice to smooth.
-    cell[:, root] = minus[:, root]
     if not partials:
         return cell, None
-    pp[:, root] = pa[:, root] = pb[:, root] = 0.0
-    pq[:, root] = 1.0
     return cell, (pe, pa, pb, pp, pq)
 
 
@@ -157,71 +156,56 @@ def soft_graph_drop_dtw_batch(
 ) -> list[LossValue]:
     """Soft grounding of several (costs, drops) problems on one meta-graph.
 
-    One DP runs over the whole batch: each column is a (B, S) array, and
-    shorter problems are padded at the tail with +inf match costs and zero
-    drop costs, which leaves their values unchanged; each value is read at
-    its own clip count. Every result equals :func:`soft_graph_drop_dtw` on
-    that problem alone, bit for bit.
+    One DP runs over the whole batch (see :func:`flowground.align._bind_batch`),
+    and each value is read at its own clip count. Every result equals
+    :func:`soft_graph_drop_dtw` on that problem alone, bit for bit.
     """
     if not problems:
         return []
-    plan, gamma, root = s.plan, cfg.gamma, s.root
-    n_steps, n_ids = s.origin.n_steps, s.origin.n_nodes
-    lengths = [len(d) for _, d in problems]
-    n_batch, n_max = len(problems), max(lengths)
-    n_rows = len(plan.active)
-    # Clip-major costs with one column per node id; the padded clips' stay +inf.
-    costs = np.full((n_max, n_batch, n_ids), np.inf)
-    drops = np.zeros((n_max, n_batch))
-    for b, (c, d) in enumerate(problems):
-        costs[: len(d), b] = _bind_costs(s, c, d).T
-        drops[: len(d), b] = d.values
+    costs, drops, lengths, plan = _bind_batch(s, problems)
+    gamma, n_steps, n_ids = cfg.gamma, s.origin.n_steps, s.origin.n_nodes
+    n_batch, n_rows = len(problems), len(s.plan.active)
+    n_max, width = len(costs), len(plan.active)
 
-    # dp[j] is the (B, S) column after j clips, and all the forward keeps.
-    dp = np.empty((n_max + 1, n_batch, n_rows))
+    # dp[j] is the flat column after j clips, and all the forward keeps.
+    dp = np.empty((n_max + 1, width))
     dp[0] = np.inf
-    dp[0, :, root] = 0.0
+    dp[0, s.root :: n_rows] = 0.0
 
     def column(j: int, partials: bool):
-        match = costs[j].take(plan.active, axis=1)
-        return _soft_column(dp[j], match, drops[j], plan, root, gamma, partials)
+        match = costs[j].take(plan.active)
+        return _soft_column(dp[j], match, drops[j], plan, gamma, partials)
 
     with np.errstate(invalid="ignore"):  # masked lanes may hold inf - inf
         for j in range(n_max):
             dp[j + 1], _ = column(j, False)
 
-        finals = list(plan.finals)
-        seeds = [smooth_min_grad(dp[n, b, finals], gamma) for b, n in enumerate(lengths)]
-        grad = np.empty((n_max, n_batch, n_ids))
+        finals = np.arange(n_batch)[:, None] * n_rows + s.plan.finals  # (B, F)
+        seeds = [smooth_min_grad(dp[n, finals[b]], gamma) for b, n in enumerate(lengths)]
+        grad = np.empty((n_max, n_batch * n_ids))
         grad_drops = np.zeros((n_max, n_batch))
-        adj = np.zeros((n_batch, n_rows))
-        offsets = np.arange(n_batch)[:, None]
-        cost_bins = (offsets * n_ids + plan.active).ravel()
+        adj = np.zeros(width)
         # A state's adjoint takes its own terms first and then its out-edges'
         # in edge order: the single-problem sweep's order of additions.
-        adj_bins = (offsets * n_rows + np.r_[np.arange(n_rows), plan.esrc]).ravel()
+        adj_bins = np.r_[np.arange(width), plan.esrc]
         for j in range(n_max, 0, -1):
             for b, n in enumerate(lengths):
                 if n == j:  # the problem's adjoints past its own end are all 0.0
-                    adj[b, finals] = seeds[b][1]
+                    adj[finals[b]] = seeds[b][1]
             pe, pa, pb, pp, pq = column(j - 1, True)[1]
             a_plus = adj * pp
             a_minus = adj * pq
-            grad[j - 1] = np.bincount(cost_bins, a_plus.ravel(), n_batch * n_ids).reshape(
-                n_batch, n_ids
-            )
-            grad_drops[j - 1] += a_minus.sum(axis=1)  # 0.0 + sum, as in a zeroed table
-            terms = np.concatenate(
-                [a_plus * pb + a_minus, (a_plus * pa).take(plan.edst, axis=1) * pe], axis=1
-            )
-            adj = np.bincount(adj_bins, terms.ravel(), n_batch * n_rows).reshape(
-                n_batch, n_rows
-            )
+            grad[j - 1] = np.bincount(plan.active, a_plus, n_batch * n_ids)
+            # 0.0 + sum, as in a zeroed table
+            grad_drops[j - 1] += a_minus.reshape(n_batch, n_rows).sum(axis=1)
+            own = a_plus * pb + a_minus
+            edges = (a_plus * pa).take(plan.edst) * pe
+            adj = np.bincount(adj_bins, np.concatenate([own, edges]), width)
 
     return [
         LossValue(
             value=float(value),
-            grad_costs=np.ascontiguousarray(grad[:n, b, :n_steps].T),
+            grad_costs=np.ascontiguousarray(grad[:n, b * n_ids : b * n_ids + n_steps].T),
             grad_drops=grad_drops[:n, b].copy(),
         )
         for b, (n, (value, _)) in enumerate(zip(lengths, seeds))
@@ -305,6 +289,19 @@ def _meta_graphs(
         if g not in built:
             built[g] = _meta_graph(g)
     return [built[g] for g in graphs]
+
+
+def _per_meta_graph(ground: Callable, metas: Sequence[TSortGraph], problems, *args):
+    """Call ``ground(meta, its problems, *args)`` once per distinct meta-graph.
+
+    ``metas[i]`` is problem i's meta-graph; results come back in input order.
+    """
+    out: list = [None] * len(problems)
+    for ts in dict.fromkeys(metas):
+        idx = [i for i, m in enumerate(metas) if m is ts]
+        for i, result in zip(idx, ground(ts, [problems[i] for i in idx], *args)):
+            out[i] = result
+    return out
 
 
 def _loss_problem(
@@ -435,9 +432,7 @@ def train_projection(
             )
     weight = model.weight.copy()
     bias = model.bias.copy()
-    groups: dict[TSortGraph, list[int]] = {}  # meta-graph -> its dataset indices
-    for i, ts in enumerate(_meta_graphs([g for g, _, _ in dataset])):
-        groups.setdefault(ts, []).append(i)
+    metas = _meta_graphs([g for g, _, _ in dataset])
     trace: list[tuple[int, float, float]] = []
 
     for epoch in range(epochs):
@@ -451,11 +446,9 @@ def train_projection(
             _loss_problem(steps, x, temperature, drop_percentile)
             for x, (_, _, steps) in zip(projected, dataset)
         ]
-        grounds: list[LossValue | None] = [None] * len(dataset)
-        for ts, members in groups.items():
-            batch = soft_graph_drop_dtw_batch(ts, [problems[i][:2] for i in members], cfg)
-            for i, ground in zip(members, batch):
-                grounds[i] = ground
+        grounds = _per_meta_graph(
+            soft_graph_drop_dtw_batch, metas, [p[:2] for p in problems], cfg
+        )
         grad_w = np.zeros_like(weight)
         grad_b = np.zeros_like(bias)
         losses = []

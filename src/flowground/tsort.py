@@ -14,8 +14,9 @@ Two constructions are provided and must agree:
   other threads; its edges are reversed afterwards so both outputs share the
   root-to-sink orientation.
 
-Node sets are bitmasks over node ids, which is why construction refuses
-graphs wider than the configured mask width.
+Node sets are bitmasks over node ids held in Python ints, which have no
+fixed width, so the one limit on a meta-graph's size is ``node_cap``, the
+number of states either construction may create.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapExceededError, ValidationError
-from .graph import BITMASK_WIDTH, FlowGraph
+from .graph import FlowGraph
 
 DEFAULT_NODE_CAP = 10**6
 DEFAULT_PATH_CAP = 10**6
@@ -193,11 +194,6 @@ class TSortGraph:
 def _check_buildable(g: FlowGraph) -> None:
     if not g.is_normalized:
         raise ValidationError("meta-graph construction requires a normalized graph")
-    if g.n_nodes > BITMASK_WIDTH:
-        raise CapExceededError(
-            f"graph has {g.n_nodes} nodes; meta-graph construction is limited "
-            f"to {BITMASK_WIDTH} (bitmask guard)"
-        )
 
 
 def build_tsort_forward(g: FlowGraph, node_cap: int = DEFAULT_NODE_CAP) -> TSortGraph:

@@ -220,6 +220,28 @@ def test_graph_dp_equals_chain_dp_on_its_sort(seed, n_steps, edge_prob, build, t
     assert a.labels == b.labels
 
 
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    build=st.sampled_from([build_tsort_forward, build_tsort_backward]),
+    ties=st.booleans(),
+)
+def test_hard_dp_matches_brute_force_oracle(seed, build, ties):
+    # The optimum's cost always agrees. Under the ties of integer-rounded
+    # costs the order may not: brute force keeps the lexicographically
+    # smallest sort, the traceback the lowest predecessor index.
+    rng = np.random.default_rng(seed)
+    g = random_dag_bounded(rng, max_steps=7, max_sorts=24)
+    c, d = random_costs(rng, g.n_steps, int(rng.integers(g.n_steps, g.n_steps + 8)))
+    if ties:
+        c, d = CostMatrix(np.round(c.values)), DropCosts(np.round(d.values))
+    a = graph_drop_dtw(build(g), c, d)
+    b = brute_force_ground(g, c, d)
+    assert a.cost == b.cost
+    if not ties:
+        assert (a.tau_star, a.labels) == (b.tau_star, b.labels)
+
+
 def test_hard_dp_memory_is_the_value_table():
     # 8 B per state and clip column; the per-call buffers and the clip-major
     # costs are O(S + E) and O(N K) on top.

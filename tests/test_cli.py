@@ -4,6 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
+import flowground.cli
 import flowground.soft
 from flowground.cli import main
 from flowground.matio import read_matrix, write_matrix_csv
@@ -248,14 +249,22 @@ def test_train_builds_one_meta_graph_per_procedure(capsys, tmp_path, monkeypatch
         assert code == 0
     for i in range(3):
         (other / f"instance_{i:03d}").rename(data / f"instance_{i + 3:03d}")
-    built = []
+    built, batches = [], []
     real = flowground.soft.build_tsort_forward
     monkeypatch.setattr(
         flowground.soft, "build_tsort_forward", lambda g: built.append(g) or real(g)
     )
-    code, *_ = run(capsys, "train", "--data", data, "--epochs", 1)
+    real_batch = flowground.cli.graph_drop_dtw_batch
+    monkeypatch.setattr(
+        flowground.cli,
+        "graph_drop_dtw_batch",
+        lambda s, problems: batches.append(len(problems)) or real_batch(s, problems),
+    )
+    code, *_ = run(capsys, "train", "--data", data, "--epochs", 2)
     assert code == 0
     assert len(built) == 2
+    # the eval grounds each procedure's instances in one batched hard DP per epoch
+    assert batches == [3, 3, 3, 3]
 
 
 def test_determinism_byte_identical(capsys, fig_graph, tmp_path):

@@ -21,6 +21,7 @@ from flowground import (
     combined_loss,
     drop_dtw,
     graph_drop_dtw,
+    graph_drop_dtw_batch,
     model_problem,
     smooth_min,
     smooth_min_grad,
@@ -225,10 +226,11 @@ def _bits(lv):
 
 # Near-edgeless 9-11-step DAGs give meta-states 8 or more incoming edges,
 # where numpy's segment sums switch to their unrolled loop.
-@example(seed=9, n_steps=9, edge_prob=0.0, build=build_tsort_forward, gamma=0.1, n_problems=3)
-@example(seed=10, n_steps=10, edge_prob=0.05, build=build_tsort_backward, gamma=1.0, n_problems=4)
-@example(seed=11, n_steps=11, edge_prob=0.0, build=build_tsort_backward, gamma=0.01, n_problems=2)
-@settings(derandomize=True, deadline=None, max_examples=60)
+@example(seed=9, n_steps=9, edge_prob=0.0, build=build_tsort_forward, gamma=0.1, n_problems=3, route="soft")
+@example(seed=10, n_steps=10, edge_prob=0.05, build=build_tsort_backward, gamma=1.0, n_problems=4, route="soft")
+@example(seed=11, n_steps=11, edge_prob=0.0, build=build_tsort_backward, gamma=0.01, n_problems=2, route="soft")
+@example(seed=9, n_steps=9, edge_prob=0.0, build=build_tsort_forward, gamma=0.1, n_problems=3, route="hard")
+@settings(derandomize=True, deadline=None, max_examples=100)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_steps=st.integers(1, 6),
@@ -236,10 +238,11 @@ def _bits(lv):
     build=st.sampled_from([build_tsort_forward, build_tsort_backward]),
     gamma=st.sampled_from([0.01, 0.1, 1.0]),
     n_problems=st.integers(1, 5),
+    route=st.sampled_from(["hard", "soft"]),
 )
-def test_batched_soft_dp_equals_single(seed, n_steps, edge_prob, build, gamma, n_problems):
+def test_batched_soft_dp_equals_single(seed, n_steps, edge_prob, build, gamma, n_problems, route):
     # Problems of mixed lengths share one padded DP; each result must keep
-    # the bits of grounding that problem alone.
+    # the bits of grounding that problem alone, for the soft DP and the hard.
     rng = np.random.default_rng(seed)
     s = build(random_dag(rng, n_steps, edge_prob))
     cfg = SmoothingConfig(gamma)
@@ -247,9 +250,15 @@ def test_batched_soft_dp_equals_single(seed, n_steps, edge_prob, build, gamma, n
         random_costs(rng, n_steps, int(rng.integers(n_steps, n_steps + 12)))
         for _ in range(n_problems)
     ]
-    single = [soft_graph_drop_dtw(s, c, d, cfg) for c, d in problems]
-    batched = soft_graph_drop_dtw_batch(s, problems, cfg)
-    assert [_bits(b) for b in batched] == [_bits(a) for a in single]
+    if route == "hard":
+        single = [graph_drop_dtw(s, c, d) for c, d in problems]
+        batched = graph_drop_dtw_batch(s, problems)
+        assert [a.cost.hex() for a in batched] == [a.cost.hex() for a in single]
+        assert batched == single
+    else:
+        single = [soft_graph_drop_dtw(s, c, d, cfg) for c, d in problems]
+        batched = soft_graph_drop_dtw_batch(s, problems, cfg)
+        assert [_bits(b) for b in batched] == [_bits(a) for a in single]
 
 
 def test_soft_dp_memory_is_the_value_table():

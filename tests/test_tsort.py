@@ -3,10 +3,14 @@ import pytest
 
 from flowground import (
     CapExceededError,
+    CostMatrix,
+    DropCosts,
     ThreadSpec,
     count_tsort_nodes_closed_form,
+    drop_dtw,
     enumerate_paths,
     enumerate_topological_sorts,
+    graph_drop_dtw,
     isomorphic,
     model_problem,
     normalize,
@@ -134,12 +138,26 @@ def test_prefix_merge_forward_marks_are_unique():
 
 def test_guards():
     wide = FlowGraph(nodes=tuple(StepNode(id=i) for i in range(70)), edges=frozenset())
-    with pytest.raises(CapExceededError, match="bitmask"):
-        build_tsort_forward(normalize(wide))
+    with pytest.raises(CapExceededError, match="cap"):
+        build_tsort_forward(normalize(wide), node_cap=1000)
     with pytest.raises(CapExceededError, match="cap"):
         build_tsort_forward(model_problem(ThreadSpec((3, 3))), node_cap=5)
     with pytest.raises(CapExceededError):
         enumerate_paths(build_tsort_forward(model_problem(ThreadSpec((3, 3)))), cap=2)
+
+
+def test_long_chain_builds_and_grounds():
+    # node sets are unbounded ints: a 70-step chain has a 71-state meta-graph
+    g = chain(70)
+    fwd, bwd = build_tsort_forward(g), build_tsort_backward(g)
+    assert fwd.num_nodes() == bwd.num_nodes() == 71
+    assert isomorphic(fwd, bwd)
+    rng = np.random.default_rng(70)
+    c = CostMatrix(rng.uniform(0.0, 5.0, size=(70, 90)))
+    d = DropCosts(rng.uniform(0.0, 2.0, size=90))
+    a = graph_drop_dtw(fwd, c, d)
+    assert a.tau_star == tuple(range(70))
+    assert a.cost == drop_dtw(range(70), c, d).cost
 
 
 def test_json_and_dot_export():
