@@ -14,13 +14,17 @@ processed with vectorized numpy operations.
 B disjoint copies of it on a single flat state axis (``_bind_batch``, which
 the soft DP shares); ``graph_drop_dtw`` is the batch of one. It keeps values
 only: one clip-major float64 table, 8 bytes per state of each copy per clip,
-whose column ``dp[j]`` is contiguous. The forward
-pass takes plain minima. The traceback recomputes each decision on the path
-from column ``j - 1``: it evaluates the same sums with the same operands, so
-it sees the values the forward compared. The tie rules therefore live in
-one place, the traceback; a tie never changes a minimum's value. ``drop_dtw``
-records its decisions in a code table during the forward pass instead, so
-the two cross-check each other.
+whose column ``dp[j]`` is contiguous and ends with one +inf entry, the
+sentinel that pads the plan's predecessor slots. Each column gathers every
+state's own value and its predecessors' through the slots in one ``take``
+and takes plain minima over them. The traceback makes one vectorised pass
+per state on the path: it recomputes that state's decisions for all the
+columns up to where the path stands, from the previous columns, with the
+same sums and the same operands, so it sees the values the forward
+compared. The tie rules therefore live in one place, the traceback; a tie
+never changes a minimum's value. ``drop_dtw`` records its decisions in a
+code table during the forward pass instead, so the two cross-check each
+other.
 
 Tie-breaking in the traceback is deterministic: match beats drop, staying on
 the current step beats transitioning, and the lowest predecessor index wins.
@@ -224,11 +228,12 @@ def _bind_batch(s: TSortGraph, problems: Sequence[tuple[CostMatrix, DropCosts]])
     Problem b runs on copy b of the meta-graph: states b*S .. b*S+S-1 of one
     flat state axis, S being the number of meta-states. Returns the
     clip-major (N_max, B*(K+2)) costs, one column per copy and node id; the
-    (N_max, B, 1) drops; the clip counts; and the plan offset per copy
-    (``finals`` and ``virtual`` stay per copy). The virtual root and sink
-    take the highest ids and match no clip, so their columns are +inf. A
-    shorter problem is padded at the tail with +inf match and zero drop
-    costs, which leaves its values unchanged.
+    (N_max, B, 1) drops; the clip counts; and the plan tiled per copy, whose
+    slot sentinel is B*S, one past the last state (``finals`` and
+    ``virtual`` stay per copy). The virtual root and sink take the highest
+    ids and match no clip, so their columns are +inf. A shorter problem is
+    padded at the tail with +inf match and zero drop costs, which leaves its
+    values unchanged.
     """
     plan, n_ids = s.plan, s.origin.n_nodes
     lengths = [len(d) for _, d in problems]
@@ -240,13 +245,15 @@ def _bind_batch(s: TSortGraph, problems: Sequence[tuple[CostMatrix, DropCosts]])
         costs[: len(d), b, : c.n_steps] = c.values.T
         drops[: len(d), b, 0] = d.values
 
-    # copy b shifts each index array by b times the per-copy count of what it indexes
-    n_rows, n_edges = len(plan.active), len(plan.esrc)
-    counts = dict(active=n_ids, esrc=n_rows, edst=n_rows, seg_dst=n_rows,
-                  seg_starts=n_edges, eseg=len(plan.seg_starts))
+    n_rows = len(plan.active)
     copies = np.arange(n_batch)[:, None]
-    tiled = {k: (copies * n + getattr(plan, k)).ravel() for k, n in counts.items()}
-    return costs.reshape(n_max, -1), drops, lengths, replace(plan, **tiled)
+    slots = plan.slots[:, None, :]
+    return costs.reshape(n_max, -1), drops, lengths, replace(
+        plan,
+        active=(copies * n_ids + plan.active).ravel(),
+        slots=np.where(slots < n_rows, copies * n_rows + slots, n_batch * n_rows)
+        .reshape(len(slots), -1),
+    )
 
 
 def graph_drop_dtw_batch(
@@ -264,26 +271,29 @@ def graph_drop_dtw_batch(
     n_batch, n_rows, n_ids = len(problems), len(s.plan.active), s.origin.n_nodes
     n_max, width = len(costs), len(plan.active)
 
-    # dp[j] is the flat column after j clips. Its values are finite or +inf
-    # and never -0.0, so np.minimum gives the bits the traceback's ``<=``
-    # choices give. The root has no in-edges and a +inf cost column, so its
-    # row accumulates prefix drops with no special case.
-    dp = np.empty((n_max + 1, width))
+    # dp[j] is the flat column after j clips, plus the slot sentinel's +inf.
+    # Its values are finite or +inf and never -0.0, so np.minimum gives the
+    # bits the traceback's ``<=`` choices give. The root has no
+    # predecessors and a +inf cost column, so its row accumulates prefix
+    # drops with no special case.
+    dp = np.empty((n_max + 1, width + 1))
     dp[0] = np.inf
-    dp[0, s.root :: n_rows] = 0.0
-    by_copy = dp.reshape(n_max + 1, n_batch, n_rows)
-    pred_min = np.full(width, np.inf)  # +inf stays where no edge comes in
+    dp[:, width] = np.inf
+    dp[0, s.root : width : n_rows] = 0.0
+    by_copy = dp[:, :width].reshape(n_max + 1, n_batch, n_rows)
+    # row 0 reads each state's own value ("stay"), the rest its predecessors'
+    gather = np.vstack([np.arange(width), plan.slots])
+    reached = np.empty(gather.shape)
     match, d_plus, d_minus = np.empty((3, width))
     d_minus_by_copy = d_minus.reshape(n_batch, n_rows)
     for j in range(n_max):
-        prev = dp[j]
-        pred_min[plan.seg_dst] = np.minimum.reduceat(prev[plan.esrc], plan.seg_starts)
-        np.minimum(prev, pred_min, out=match)
         # "clip" (no index is out of range) keeps ``out`` unbuffered
+        dp[j].take(gather, out=reached, mode="clip")
+        np.minimum.reduce(reached, axis=0, out=match)
         costs[j].take(plan.active, out=d_plus, mode="clip")
         d_plus += match
         np.add(by_copy[j], drops[j], out=d_minus_by_copy)
-        np.minimum(d_plus, d_minus, out=dp[j + 1])
+        np.minimum(d_plus, d_minus, out=dp[j + 1, :width])
 
     return [
         _traceback(s, by_copy[: n + 1, b], costs[:n, b * n_ids :], drops[:n, b, 0])
@@ -294,37 +304,38 @@ def graph_drop_dtw_batch(
 def _traceback(s: TSortGraph, dp: np.ndarray, costs: np.ndarray, drops: np.ndarray):
     """One problem's alignment from its (N+1, S) values and its costs' columns.
 
-    Each step recomputes cell (i, j)'s decision from dp[j - 1] with the
-    forward's sums and the tie rules of the module docstring.
+    One vectorised pass per state on the path, from the best final back to
+    the root. For state i, explaining the first j clips, the pass recomputes
+    the decision of every cell (i, 1..j) from the previous column with the
+    forward's sums and the tie rules of the module docstring. The path
+    entered i at the last of those cells that matches by transition; every
+    later cell holds i and matches or drops.
     """
     active, finals, preds = s.plan.active, s.plan.finals, s.predecessors
-    n_clips = len(drops)
-    end_vals = dp[n_clips, list(finals)]
+    j = len(drops)
+    end_vals = dp[j, list(finals)]
     best = int(np.argmin(end_vals))  # argmin takes the first occurrence: lowest index
     cost = float(end_vals[best])
     if not np.isfinite(cost):
         raise InfeasibleError("no feasible alignment found")  # pragma: no cover
 
-    labels = [DROP] * n_clips
+    labels = np.full(j, DROP)
     i = finals[best]
     state_path = [i]
-    for j in range(n_clips, 0, -1):
-        if i == s.root:
-            break  # the root row holds prefix drops only
-        prev = dp[j - 1]
-        stay = prev[i]
-        pred_vals = [prev[p] for p in preds[i]]
-        best_in = min(pred_vals, default=np.inf)
+    while i != s.root:  # the root row holds prefix drops only
+        into = list(preds[i])  # ascending, so argmin picks the lowest index
+        stay = dp[:j, i]
+        best_in = dp[:j, into].min(axis=1)
         stays = stay <= best_in
-        d_plus = costs[j - 1, active[i]] + (stay if stays else best_in)
-        if d_plus <= stay + drops[j - 1]:
-            labels[j - 1] = int(active[i])
-            if not stays:
-                i = preds[i][pred_vals.index(best_in)]
-                state_path.append(i)
+        match = costs[:j, active[i]] + np.where(stays, stay, best_in) <= stay + drops[:j]
+        enter = np.flatnonzero(match & ~stays)[-1]
+        labels[enter:j][match[enter:]] = active[i]
+        i = into[int(np.argmin(dp[enter, into]))]
+        state_path.append(i)
+        j = enter
 
     tau_star = tuple(int(active[k]) for k in reversed(state_path) if not s.plan.virtual[k])
-    return _assemble(cost, labels, tau_star)
+    return _assemble(cost, labels.tolist(), tau_star)
 
 
 def graph_drop_dtw(s: TSortGraph, c: CostMatrix, d: DropCosts) -> Alignment:

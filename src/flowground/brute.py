@@ -21,6 +21,7 @@ from .align import (
     drop_dtw_cost,
     graph_drop_dtw,
 )
+from .errors import ValidationError
 from .graph import DEFAULT_SORT_CAP, FlowGraph, enumerate_topological_sorts, normalize
 from .tsort import build_tsort_forward
 
@@ -79,7 +80,7 @@ def bench_compare(
     problems, a proxy otherwise).
     """
     if repeats < 1:
-        raise ValueError("repeats must be positive")
+        raise ValidationError(f"repeats must be at least 1, got {repeats}")
     gn = normalize(g)
     sorts = enumerate_topological_sorts(gn, cap=cap)
     n_sorts = len(sorts)

@@ -449,9 +449,13 @@ def _load_labels(path: str) -> list[int]:
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict) or "labels" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("labels"), list):
         raise ValidationError(f'{path}: expected an object with a "labels" array')
-    return [int(x) for x in doc["labels"]]
+    labels = doc["labels"]
+    for x in labels:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValidationError(f"{path}: label {x!r} is not an integer")
+    return labels
 
 
 @cli.command(name="eval")

@@ -19,8 +19,15 @@ arithmetic, so they hold the forward's bits.
 
 One DP grounds a batch of problems that share a meta-graph
 (:func:`soft_graph_drop_dtw_batch`), on the hard DP's layout: disjoint copies
-of the meta-graph on one flat state axis. Training batches all the instances
+of the meta-graph on one flat state axis, each state reading its
+predecessors through the plan's slots. Training batches all the instances
 of each meta-graph this way.
+
+Sums keep a fixed order of additions, so results do not depend on the
+layout: a state's sum over its predecessors adds the lowest-index one first
+and then the pairwise sum of the rest in numpy's order
+(:func:`_segment_sum`), and a state's adjoint adds its own terms first and
+then one term per successor, in (successor, slot) order.
 """
 
 from __future__ import annotations
@@ -113,35 +120,103 @@ def _smooth_min2(x: np.ndarray, y: np.ndarray, gamma: float, partials: bool):
     return m, np.where(x_low, p_low, p_high), np.where(x_low, p_high, p_low)
 
 
-def _segment_smooth_min(vals: np.ndarray, plan: DPPlan, gamma: float, partials: bool):
-    """Smooth minimum over each state's incoming edge values, per destination."""
-    low = np.minimum.reduceat(vals, plan.seg_starts)
-    # +inf edges stay +inf, also where the whole segment is +inf
-    shifted = vals - np.where(np.isfinite(low), low, 0.0).take(plan.eseg)
+def _pairwise_sum(x: np.ndarray) -> np.ndarray:
+    """Sum of ``x`` (n >= 1 terms) over axis 0, in numpy's pairwise order.
+
+    Below 8 terms numpy adds in sequence from -0.0, and -0.0 + x0 is x0.
+    Up to 128, 8 strided accumulators are combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and the remainder is added in
+    sequence. Above that the terms are split in two at n/2 rounded down to
+    a multiple of 8.
+    """
+    n = len(x)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
+    if n < 8:
+        total, blocks = x[0].copy(), 1
+    else:
+        blocks = n - n % 8
+        r = x[:8].copy()
+        for k in range(8, blocks, 8):
+            r += x[k : k + 8]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for row in x[blocks:]:
+        total += row
+    return total
+
+
+def _segment_sum(x: np.ndarray) -> np.ndarray:
+    """Sum of ``x`` over axis 0 in the order of numpy's segmented add.
+
+    numpy's segmented add reduction takes a segment's first term and adds
+    the pairwise sum of the rest: x0 + _pairwise_sum(x1 .. x_{n-1}). A
+    single term is returned as it is (x0 + -0.0 is x0).
+    """
+    return x[0] if len(x) == 1 else x[0] + _pairwise_sum(x[1:])
+
+
+def _sum_groups(slots: np.ndarray, sentinel: int) -> list[tuple]:
+    """States whose slot sums share one order of additions, and their rows.
+
+    Each group is (states, slot rows). Pads add +0.0 after a state's own
+    terms, which leaves a sum of non-negative terms unchanged, so states
+    share a group when their in-degrees give the same 8-term blocks in
+    :func:`_pairwise_sum`: all with at most 8 predecessors, then one
+    group per block count up to 129 predecessors, then one per in-degree.
+    """
+    terms = np.maximum(np.count_nonzero(slots < sentinel, axis=0) - 1, 0)
+    if terms.max() < 8:
+        return [(slice(None), len(slots))]
+    key = np.where(terms > 128, terms, terms // 8)
+    return [
+        (states, 1 + int(terms[states].max()))
+        for states in (np.flatnonzero(key == k) for k in np.unique(key))
+    ]
+
+
+def _slot_sum(x: np.ndarray, groups: list[tuple]) -> np.ndarray:
+    """Each state's sum over its slots (axis 0), in its edge segment's order."""
+    if len(groups) == 1:  # the common case: no gather and no scatter per sum
+        ((states, rows),) = groups
+        return _segment_sum(x[:rows])
+    total = np.empty(x.shape[1])
+    for states, rows in groups:
+        total[states] = _segment_sum(x[:rows, states])
+    return total
+
+
+def _slot_smooth_min(vals: np.ndarray, groups: list[tuple], gamma: float, partials: bool):
+    """Smooth minimum over each state's predecessor values, one per column.
+
+    ``vals`` is (D, width), read through the slots; pads and states without
+    predecessors read +inf, weigh 0 and give +inf.
+    """
+    low = np.minimum.reduce(vals, axis=0)
+    shifted = vals - np.where(np.isfinite(low), low, 0.0)  # +inf stays +inf
     w = shifted / -gamma
     np.exp(w, out=w)
-    z = np.add.reduceat(w, plan.seg_starts)  # >= 1 (the minimum's term is 1) or 0
-    w /= np.maximum(z, 1.0).take(plan.eseg)
-    m_seg = low + np.add.reduceat(np.fmax(w * shifted, 0.0), plan.seg_starts)
+    z = _slot_sum(w, groups)  # >= 1 (the minimum's term is 1) or 0
+    w /= np.maximum(z, 1.0)
+    m = low + _slot_sum(np.fmax(w * shifted, 0.0), groups)
     if not partials:
-        return m_seg, None
-    m_edge = m_seg.take(plan.eseg)
-    return m_seg, np.where(w > 0, w * (1.0 - (vals - m_edge) / gamma), 0.0)
+        return m, None
+    return m, np.where(w > 0, w * (1.0 - (vals - m) / gamma), 0.0)
 
 
-def _soft_column(prev, match, drop, plan: DPPlan, gamma: float, partials: bool):
+def _soft_column(prev, match, drop, plan: DPPlan, groups, gamma: float, partials: bool):
     """One clip column of the batched soft DP, and its partials if asked.
 
-    ``drop`` holds one (B, 1) drop cost per copy; ``match`` is overwritten.
-    The partials are d pool / d edge value, d core / d pool, d core / d stay,
-    d cell / d plus and d cell / d minus. The root has no in-edges and a +inf
+    ``prev`` ends with the slot sentinel's +inf; ``drop`` holds one (B, 1)
+    drop cost per copy; ``match`` is overwritten. The partials are d pool /
+    d predecessor value (per slot), d core / d pool, d core / d stay, d cell
+    / d plus and d cell / d minus. The root has no predecessors and a +inf
     cost column, so its cell smooths to its drop term with no special case.
     """
-    m_seg, pe = _segment_smooth_min(prev.take(plan.esrc), plan, gamma, partials)
-    pool = np.full_like(prev, np.inf)  # +inf stays where no edge comes in
-    pool[plan.seg_dst] = m_seg
-    core, pa, pb = _smooth_min2(pool, prev, gamma, partials)
-    minus = (prev.reshape(len(drop), -1) + drop).ravel()
+    pool, pe = _slot_smooth_min(prev.take(plan.slots), groups, gamma, partials)
+    stay = prev[:-1]
+    core, pa, pb = _smooth_min2(pool, stay, gamma, partials)
+    minus = (stay.reshape(len(drop), -1) + drop).ravel()
     match += core
     cell, pp, pq = _smooth_min2(match, minus, gamma, partials)
     if not partials:
@@ -166,28 +241,31 @@ def soft_graph_drop_dtw_batch(
     gamma, n_steps, n_ids = cfg.gamma, s.origin.n_steps, s.origin.n_nodes
     n_batch, n_rows = len(problems), len(s.plan.active)
     n_max, width = len(costs), len(plan.active)
+    groups = _sum_groups(plan.slots, width)
 
-    # dp[j] is the flat column after j clips, and all the forward keeps.
-    dp = np.empty((n_max + 1, width))
+    # dp[j] is the flat column after j clips plus the slot sentinel's +inf,
+    # and all the forward keeps.
+    dp = np.empty((n_max + 1, width + 1))
     dp[0] = np.inf
-    dp[0, s.root :: n_rows] = 0.0
+    dp[:, width] = np.inf
+    dp[0, s.root : width : n_rows] = 0.0
 
     def column(j: int, partials: bool):
         match = costs[j].take(plan.active)
-        return _soft_column(dp[j], match, drops[j], plan, gamma, partials)
+        return _soft_column(dp[j], match, drops[j], plan, groups, gamma, partials)
 
     with np.errstate(invalid="ignore"):  # masked lanes may hold inf - inf
         for j in range(n_max):
-            dp[j + 1], _ = column(j, False)
+            dp[j + 1, :width], _ = column(j, False)
 
         finals = np.arange(n_batch)[:, None] * n_rows + s.plan.finals  # (B, F)
         seeds = [smooth_min_grad(dp[n, finals[b]], gamma) for b, n in enumerate(lengths)]
         grad = np.empty((n_max, n_batch * n_ids))
         grad_drops = np.zeros((n_max, n_batch))
         adj = np.zeros(width)
-        # A state's adjoint takes its own terms first and then its out-edges'
-        # in edge order: the single-problem sweep's order of additions.
-        adj_bins = np.r_[np.arange(width), plan.esrc]
+        # own terms first, then successors' in (successor, slot) order; pads
+        # land in the sentinel's bin, which is dropped
+        adj_bins = np.r_[np.arange(width), plan.slots.T.ravel()]
         for j in range(n_max, 0, -1):
             for b, n in enumerate(lengths):
                 if n == j:  # the problem's adjoints past its own end are all 0.0
@@ -199,8 +277,8 @@ def soft_graph_drop_dtw_batch(
             # 0.0 + sum, as in a zeroed table
             grad_drops[j - 1] += a_minus.reshape(n_batch, n_rows).sum(axis=1)
             own = a_plus * pb + a_minus
-            edges = (a_plus * pa).take(plan.edst) * pe
-            adj = np.bincount(adj_bins, np.concatenate([own, edges]), width)
+            preds = (pe * (a_plus * pa)).T.ravel()
+            adj = np.bincount(adj_bins, np.concatenate([own, preds]), width + 1)[:width]
 
     return [
         LossValue(

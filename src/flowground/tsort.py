@@ -63,19 +63,15 @@ class TSortNode:
 class DPPlan:
     """A meta-graph laid out for the grounding DPs; every array is read-only.
 
-    Edges are sorted by (destination, source), so each destination's incoming
-    edges form one segment: it starts at ``seg_starts`` and belongs to
-    ``seg_dst``; ``eseg`` maps each edge to its segment. ``finals`` precede
-    the sink.
+    ``slots[k, i]`` is state i's k-th predecessor in ascending index order.
+    A state with fewer predecessors than the maximum in-degree, D, is padded
+    with the sentinel S, one past the last state, which the DPs keep at
+    +inf. ``finals`` precede the sink.
     """
 
     active: np.ndarray  # (S,) int64
     virtual: np.ndarray  # (S,) bool
-    esrc: np.ndarray  # (E,) int64
-    edst: np.ndarray  # (E,) int64
-    seg_starts: np.ndarray
-    seg_dst: np.ndarray
-    eseg: np.ndarray  # (E,) int64
+    slots: np.ndarray  # (D, S) int64
     finals: tuple[int, ...]
 
 
@@ -116,19 +112,13 @@ class TSortGraph:
     @cached_property
     def plan(self) -> DPPlan:
         """Compiled layout shared by the hard and soft grounding DPs."""
+        n_states = len(self.nodes)
         active = np.array([n.active for n in self.nodes], dtype=np.int64)
-        edges = np.array(sorted(self.edges, key=lambda e: (e[1], e[0])), dtype=np.int64)
-        edst = edges[:, 1]
-        seg_starts = np.flatnonzero(np.r_[True, edst[1:] != edst[:-1]])
-        arrays = (
-            active,
-            np.array([n.is_virtual for n in self.origin.nodes])[active],
-            edges[:, 0],
-            edst,
-            seg_starts,
-            edst[seg_starts],
-            np.cumsum(np.r_[False, edst[1:] != edst[:-1]]),
-        )
+        src, dst = np.array(sorted(self.edges, key=lambda e: (e[1], e[0]))).T
+        rank = np.arange(len(dst)) - np.searchsorted(dst, dst)  # position among dst's edges
+        slots = np.full((rank.max() + 1, n_states), n_states, dtype=np.int64)
+        slots[rank, dst] = src
+        arrays = (active, np.array([n.is_virtual for n in self.origin.nodes])[active], slots)
         for arr in arrays:
             arr.flags.writeable = False
         return DPPlan(*arrays, finals=self.predecessors[self.sink])

@@ -242,6 +242,31 @@ def test_hard_dp_matches_brute_force_oracle(seed, build, ties):
         assert (a.tau_star, a.labels) == (b.tau_star, b.labels)
 
 
+@pytest.mark.parametrize(
+    "spec, build, order",
+    [
+        ((2, 2), build_tsort_forward, (0, 1, 2, 3)),
+        ((2, 2), build_tsort_backward, (2, 3, 0, 1)),
+        ((3, 3), build_tsort_forward, (0, 1, 2, 3, 4, 5)),
+        ((3, 3), build_tsort_backward, (3, 4, 5, 0, 1, 2)),
+    ],
+)
+@pytest.mark.parametrize("extra", [0, 3])
+def test_all_equal_costs_follow_the_tie_rules(spec, build, order, extra):
+    # Every match and drop ties. Match beats drop and staying beats
+    # transitioning, so the last step takes the surplus clips; the lowest
+    # predecessor index picks the sort, which differs between the builds.
+    g = model_problem(ThreadSpec(spec))
+    n_clips = g.n_steps + extra
+    c, d = CostMatrix(np.ones((g.n_steps, n_clips))), DropCosts(np.ones(n_clips))
+    a = graph_drop_dtw(build(g), c, d)
+    assert a.tau_star == order
+    assert a.labels == order + (order[-1],) * extra
+    assert a.cost == n_clips
+    chain = drop_dtw(a.tau_star, c, d)
+    assert (chain.cost, chain.labels) == (a.cost, a.labels)
+
+
 def test_hard_dp_memory_is_the_value_table():
     # 8 B per state and clip column; the per-call buffers and the clip-major
     # costs are O(S + E) and O(N K) on top.

@@ -142,6 +142,33 @@ def test_eval_steps_only_flag(capsys, tmp_path):
     assert json.loads(out)["accuracy"] == pytest.approx(2 / 3)
 
 
+@pytest.mark.parametrize(
+    "labels",
+    [5, None, "012", {"0": 1}, ["x"], [1.5, 2], [2.0, 1], [True, 1], [1, None]],
+    ids=["int", "null", "string", "object", "str-entry", "float-entry", "whole-float",
+         "bool-entry", "null-entry"],
+)
+def test_eval_rejects_labels_that_are_not_integers(capsys, tmp_path, labels):
+    bad = tmp_path / "bad.json"
+    good = tmp_path / "good.json"
+    bad.write_text(json.dumps({"labels": labels}))
+    good.write_text(json.dumps({"labels": [1, 2]}))
+    for pred, gt in ((bad, good), (good, bad)):
+        code, out, err = run(capsys, "eval", "--pred", pred, "--gt", gt)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {bad}")
+
+
+def test_bench_rejects_zero_repeats(capsys, tmp_path):
+    costs = tmp_path / "c.csv"
+    write_matrix_csv(costs, np.random.default_rng(0).uniform(0, 5, size=(3, 12)))
+    code, out, err = run(capsys, "bench", "--spec", "2,1", "--costs", costs, "--repeats", 0)
+    assert code == 1
+    assert out == ""
+    assert err == "error: repeats must be at least 1, got 0\n"
+
+
 def test_bench_emits_report(capsys, tmp_path):
     costs = tmp_path / "c.csv"
     write_matrix_csv(costs, np.random.default_rng(0).uniform(0, 5, size=(3, 12)))

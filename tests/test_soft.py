@@ -224,8 +224,8 @@ def _bits(lv):
     return lv.value, lv.grad_costs.tobytes(), lv.grad_costs.shape, lv.grad_drops.tobytes()
 
 
-# Near-edgeless 9-11-step DAGs give meta-states 8 or more incoming edges,
-# where numpy's segment sums switch to their unrolled loop.
+# Near-edgeless 9-11-step DAGs give meta-states 9 or more predecessors,
+# where the slot sums switch to numpy's unrolled 8-accumulator order.
 @example(seed=9, n_steps=9, edge_prob=0.0, build=build_tsort_forward, gamma=0.1, n_problems=3, route="soft")
 @example(seed=10, n_steps=10, edge_prob=0.05, build=build_tsort_backward, gamma=1.0, n_problems=4, route="soft")
 @example(seed=11, n_steps=11, edge_prob=0.0, build=build_tsort_backward, gamma=0.01, n_problems=2, route="soft")
@@ -278,6 +278,48 @@ def test_soft_dp_memory_is_the_value_table():
         tracemalloc.stop()
     assert len(s.nodes) == 2002
     assert peak <= 12 * len(s.nodes) * (n_clips + 1)
+
+
+def _spread(rng, shape):
+    """Values of magnitude 1e-5 .. 1e5."""
+    return 10.0 ** rng.uniform(-5.0, 5.0, size=shape)
+
+
+@pytest.mark.parametrize("columns", [(), (3,)], ids=["1d", "2d"])
+def test_segment_sum_adds_in_numpys_segment_order(columns):
+    # The soft DP's slot sums must keep the bits of np.add.reduceat over an
+    # edge list, which adds a segment's first term to numpy's pairwise sum
+    # of the rest: sequential below 8 terms, 8 accumulators up to 128,
+    # split in two above.
+    rng = np.random.default_rng(29)
+    for n in range(1, 301):
+        x = _spread(rng, (n, *columns)) * rng.choice([-1.0, 1.0], size=(n, *columns))
+        want = np.add.reduceat(x, [0], axis=0)[0]
+        got = flowground.soft._segment_sum(x)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), n
+
+
+def test_slot_sums_equal_segment_sums_at_every_in_degree():
+    # States of in-degree 0..300 side by side, padded as the plan pads them:
+    # each sum over slots equals np.add.reduceat over that state's edges.
+    # In-degrees of 17 and more, where the 8-accumulator form runs more
+    # than one block, need meta-graphs far too large for a DP-level test.
+    rng = np.random.default_rng(30)
+    degrees = np.r_[np.arange(301), rng.integers(0, 20, size=60)]
+    rng.shuffle(degrees)
+    sentinel = len(degrees)
+    slots = np.full((degrees.max(), sentinel), sentinel)
+    values = np.zeros(slots.shape)  # pads weigh +0.0, as in the DP
+    for i, deg in enumerate(degrees):
+        slots[:deg, i] = rng.integers(0, sentinel, size=deg)
+        values[:deg, i] = _spread(rng, deg)
+    edges = np.flatnonzero(degrees)
+    flat = np.concatenate([values[: degrees[i], i] for i in edges])
+    want = np.add.reduceat(flat, np.r_[0, np.cumsum(degrees[edges])[:-1]])
+    groups = flowground.soft._sum_groups(slots, sentinel)
+    got = flowground.soft._slot_sum(values, groups)
+    assert got[edges].tobytes() == want.tobytes()
+    assert not got[degrees == 0].any()
 
 
 # -- clustering -------------------------------------------------------------------

@@ -136,6 +136,19 @@ def test_prefix_merge_forward_marks_are_unique():
     assert len(keys) == len(s.nodes)
 
 
+@pytest.mark.parametrize("build", [build_tsort_forward, build_tsort_backward])
+def test_plan_slots_list_predecessors_in_ascending_order(build):
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        s = build(random_dag_bounded(rng, max_steps=6, max_sorts=500))
+        plan, n_states = s.plan, len(s.nodes)
+        assert len(plan.slots) == max(map(len, s.predecessors))
+        for i, preds in enumerate(s.predecessors):
+            pads = (n_states,) * (len(plan.slots) - len(preds))
+            assert tuple(plan.slots[:, i]) == preds + pads
+        assert not plan.slots.flags.writeable
+
+
 def test_guards():
     wide = FlowGraph(nodes=tuple(StepNode(id=i) for i in range(70)), edges=frozenset())
     with pytest.raises(CapExceededError, match="cap"):
